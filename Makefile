@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: test bench sim-bench tiled-check fusion-check service service-smoke run-service-check queue-check boundary-check csl-check lint
+.PHONY: test bench sim-bench tiled-check fusion-check native-check service service-smoke run-service-check queue-check boundary-check csl-check lint
 
 # Tier-1 verification: the whole suite, fail fast.
 test:
@@ -38,6 +38,16 @@ tiled-check:
 # with an explicit `r` to BENCH_simulator.json).
 fusion-check:
 	$(PYTHON) -m pytest tests/wse/test_temporal_fusion.py \
+	  benchmarks/test_simulator_throughput.py::test_temporal_blocking_speeds_up_compiled -q
+
+# Gate the native kernel tier of the compiled backend: C kernels
+# byte-identical to vectorized on every buffer and statistic (7 benchmarks
+# x 3 boundary modes x R in {1,2,4} x num_chunks in {1,2}, plus the C
+# emitter's edge paths), the no-compiler and failed-build fallbacks, the
+# .so store round-trip, then the temporal-fusion throughput floor the
+# native tier must keep (best blocked depth >= 1.15x unblocked).
+native-check:
+	$(PYTHON) -m pytest tests/wse/test_native_kernels.py \
 	  benchmarks/test_simulator_throughput.py::test_temporal_blocking_speeds_up_compiled -q
 
 # Compilation service: unit + throughput tests, then the CLI smoke path.

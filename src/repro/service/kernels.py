@@ -15,6 +15,13 @@ simply never looked up again after a semantics change.  Writes are atomic
 (tempfile + ``os.replace``) for the same reason the artifact stores' are:
 concurrent fleet members may race on one fingerprint, and the losers must
 still observe a complete file.
+
+Native-tier shared libraries (:mod:`repro.wse.native`) live beside the
+sources as ``kernels/<key>.so``.  Their key hashes the C source together
+with the compiler identity, the build flags and the host ISA, so a host
+with another compiler or architecture builds its own instead of loading a
+foreign binary.  They are built in a private directory under ``kernels/``
+and moved into place atomically.
 """
 
 from __future__ import annotations
@@ -71,6 +78,22 @@ class KernelSourceStore:
                 pass
             raise
 
+    def library_path(self, key: str) -> Path:
+        """Where the native library of one library key lives."""
+        return self.directory / f"{key}.so"
+
+    def put_library(self, key: str, built: Path) -> Path:
+        """Move a freshly built library into place (same filesystem:
+        ``built`` must lie under :attr:`directory`); returns its path."""
+        path = self.library_path(key)
+        os.replace(built, path)
+        return path
+
+    def libraries(self) -> int:
+        if not self.directory.is_dir():
+            return 0
+        return sum(1 for _ in self.directory.glob("*.so"))
+
     def total_bytes(self) -> int:
         if not self.directory.is_dir():
             return 0
@@ -84,8 +107,15 @@ class KernelSourceStore:
         return total
 
     def purge(self) -> int:
+        """Remove every kernel source and native library; returns the
+        number of sources removed."""
         removed = 0
         if self.directory.is_dir():
+            for path in self.directory.glob("*.so"):
+                try:
+                    path.unlink()
+                except OSError:
+                    pass
             for path in self.directory.glob("*.py"):
                 try:
                     path.unlink()

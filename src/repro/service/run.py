@@ -48,15 +48,15 @@ from repro.service.fingerprint import (
 from repro.service.kernels import KernelSourceStore
 from repro.service.service import CompileService
 from repro.transforms.pipeline import PipelineOptions
-from repro.wse.codegen import (
+# ``get_kernel`` stays importable as ``repro.service.run.get_kernel``:
+# tracing tools wrap the kernel lookup under that name.
+from repro.wse.codegen import (  # noqa: F401
     CODEGEN_VERSION,
-    KernelCodegenError,
     get_kernel,
     kernel_cache_statistics,
 )
 from repro.wse.executors import default_executor_name, executor_by_name
-from repro.wse.interpreter import ProgramImage
-from repro.wse.plan import PLAN_VERSION, ExecutionPlan
+from repro.wse.plan import PLAN_VERSION
 from repro.wse.simulator import WseSimulator
 
 #: current run-artifact schema; bumping it invalidates stored run artifacts.
@@ -174,9 +174,12 @@ class RunArtifact:
     statistics: dict
     #: SHA-256 of each gathered field's bytes, keyed by field name.
     field_digests: dict[str, str]
-    #: kernel-cache provenance of a ``compiled``-backend run: the kernel
-    #: fingerprint and where it was served from (``memory`` / ``store`` /
-    #: ``codegen``), or the fallback reason; None on interpreting backends.
+    #: kernel-cache provenance of a run whose backend bound a generated
+    #: kernel: the kernel fingerprint, where it was served from (``memory``
+    #: / ``store`` / ``codegen``), the tier that ran (``native`` /
+    #: ``numpy``), where the native library came from (``memory`` /
+    #: ``store`` / ``build``) with the build seconds, and any fallback
+    #: reason; None when the backend ran no kernel.
     kernel_cache: dict | None = None
     schema_version: int = RUN_SCHEMA_VERSION
 
@@ -548,10 +551,9 @@ class RunService:
 
         parsed = parse_csl_sources(sources)
         image = parsed.image()
-        kernel_cache = None
-        if executor_name in ("compiled", "auto"):
-            kernel_cache = self._warm_kernel(image.module)
-        simulator = WseSimulator(image, executor=executor_name)
+        simulator = WseSimulator(
+            image, executor=executor_name, kernel_store=self.kernels
+        )
         rng = np.random.default_rng(seed)
         for name in sorted(image.buffers):
             simulator.load_field(
@@ -585,7 +587,7 @@ class RunService:
             rounds=statistics.rounds,
             statistics=asdict(statistics),
             field_digests=digests,
-            kernel_cache=kernel_cache,
+            kernel_cache=simulator.executor.kernel_cache,
         )
         with self._lock:
             self.memory.put(artifact)
@@ -615,14 +617,13 @@ class RunService:
         if result.options.boundary != program.boundary:
             effective = replace(program, boundary=result.options.boundary)
 
-        kernel_cache = None
-        if executor_name in ("compiled", "auto"):
-            # `auto` may delegate to the compiled backend; warming the
-            # fleet-wide kernel store is cheap and keeps the provenance
-            # reporting uniform.
-            kernel_cache = self._warm_kernel(result.program_module)
-
-        simulator = WseSimulator(result.program_module, executor=executor_name)
+        # The backend that binds a kernel resolves it (and starts its
+        # native build) through the fleet-wide store while the inputs load.
+        simulator = WseSimulator(
+            result.program_module,
+            executor=executor_name,
+            kernel_store=self.kernels,
+        )
         rng = np.random.default_rng(seed)
         fields = allocate_fields(
             effective, lambda name, shape: rng.uniform(-1.0, 1.0, shape)
@@ -654,37 +655,8 @@ class RunService:
             rounds=statistics.rounds,
             statistics=asdict(statistics),
             field_digests=digests,
-            kernel_cache=kernel_cache,
+            kernel_cache=simulator.executor.kernel_cache,
         )
-
-    def _warm_kernel(self, program_module) -> dict:
-        """Resolve the generated kernel through the fleet-wide source store.
-
-        Compiles (or looks up) the kernel *before* the simulator is built,
-        passing the persistent store: a fleet member that already generated
-        this kernel serves its source from disk, and whatever this call
-        resolves is a guaranteed in-memory hit for the executor.  Returns
-        the provenance record folded into the run artifact.
-        """
-        image = ProgramImage(program_module)
-        plan = ExecutionPlan.compile(image, image.width, image.height)
-        before = kernel_cache_statistics()
-        memory_hits, disk_hits = before.memory_hits, before.disk_hits
-        try:
-            kernel = get_kernel(image, plan, store=self.kernels)
-        except KernelCodegenError as error:
-            return {"served_from": "fallback", "reason": str(error)}
-        after = kernel_cache_statistics()
-        if after.memory_hits > memory_hits:
-            served_from = "memory"
-        elif after.disk_hits > disk_hits:
-            served_from = "store"
-        else:
-            served_from = "codegen"
-        return {
-            "fingerprint": kernel.fingerprint,
-            "served_from": served_from,
-        }
 
     # ------------------------------------------------------------------ #
     # Lifecycle / reporting
@@ -712,8 +684,12 @@ class RunService:
             f"  run store: {self.store.directory} ({len(self.store)} artifacts)",
             f"  kernel cache: hits {kernels.hits} (memory {kernels.memory_hits}, "
             f"store {kernels.disk_hits})  codegens {kernels.codegens}",
+            f"  native libraries: builds {kernels.native_builds}  .so hits "
+            f"{kernels.library_hits} (memory {kernels.library_memory_hits}, "
+            f"store {kernels.library_store_hits})",
             f"  kernel store: {self.kernels.directory} "
-            f"({len(self.kernels)} kernels)",
+            f"({len(self.kernels)} kernels, {self.kernels.libraries()} "
+            f"libraries)",
             self.compiler.format_statistics(),
         ]
         return "\n".join(lines)

@@ -30,7 +30,8 @@ fingerprint* (SHA-256 over the printed program module, the plan's canonical
 form and :data:`CODEGEN_VERSION`), and optionally persisted through a
 source store (see :mod:`repro.service.kernels`) so compilation is paid once
 fleet-wide.  Set ``REPRO_COMPILED_DUMP`` to a directory to retain the
-emitted source of every kernel for debugging.
+emitted source of every kernel for debugging (plus the C of native-tier
+kernels, see :mod:`repro.wse.native`).
 
 Only the constructs the pipeline generates are compilable; anything else
 raises :class:`KernelCodegenError` and the ``compiled`` executor falls back
@@ -73,7 +74,8 @@ if TYPE_CHECKING:  # pragma: no cover
 CODEGEN_VERSION = 2
 
 #: environment variable naming a directory to retain emitted kernel source
-#: in (``kernel_<fingerprint12>.py`` per kernel) for debugging.
+#: in (``kernel_<fingerprint12>.py`` per kernel, and ``kernel_<fp12>.c``
+#: beside native-tier kernels) for debugging.
 DUMP_ENV_VAR = "REPRO_COMPILED_DUMP"
 
 #: environment variable forcing the temporal block depth — how many delivery
@@ -120,6 +122,7 @@ def kernel_fingerprint(
     box: tuple[int, int, int, int] | None = None,
     geometry: ShardGeometry | None = None,
     rounds: int = 1,
+    native: bool = False,
 ) -> str:
     """Content fingerprint of one (program module, plan[, shard box]) kernel.
 
@@ -133,6 +136,7 @@ def kernel_fingerprint(
     kernels fold their depth (``rounds > 1``) so each (plan, box, R) variant
     caches exactly once; ``rounds == 1`` leaves the payload untouched —
     unblocked fingerprints are insensitive to the parameter existing.
+    Native-tier glue kernels fold the native emitter's version.
     """
     payload = {
         "codegen_version": CODEGEN_VERSION,
@@ -144,6 +148,10 @@ def kernel_fingerprint(
         payload["shard"] = {"box": list(box), "geometry": geometry.canonical()}
     if rounds != 1:
         payload["rounds"] = rounds
+    if native:
+        from repro.wse.native import NATIVE_VERSION
+
+        payload["native"] = NATIVE_VERSION
     text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
@@ -214,6 +222,9 @@ def _atom(expression: str) -> str:
 
 class _KernelEmitter:
     """Walks one program image + plan and emits the kernel source."""
+
+    #: parameters of the emitted ``make_kernel`` factory.
+    MAKE_PARAMS = "state, plan"
 
     #: ops the interpreter treats as no-ops (host/layout surface).
     NOOP_OPS = (
@@ -1338,7 +1349,7 @@ class _KernelEmitter:
                 "pub_cols": len(self._pub_col_slots),
             }
             out.line(f"SHARD_META = {meta!r}")
-        out.line("def make_kernel(state, plan):")
+        out.line(f"def make_kernel({self.MAKE_PARAMS}):")
         with out.indented():
             out.line("counters = state.counters")
             out.line("variables = state.variables")
@@ -1411,6 +1422,7 @@ class _KernelEmitter:
                     f"{self._scratch[length]} = np.empty(({grid}, {length}), "
                     f"dtype=np.float32)"
                 )
+            self._emit_bindings(out)
             out.extend(callables)
             out.extend(delivery)
             out.line("def drain():")
@@ -1470,7 +1482,14 @@ class _KernelEmitter:
                     out.line("'run_block': run_block,")
                 out.line("'queue': queue, 'pending': pending,")
             out.line("}")
+        self._emit_trailer(out)
         return out.text()
+
+    def _emit_bindings(self, out: SourceBuilder) -> None:
+        """Extra bind-time lines after the allocations (native tier)."""
+
+    def _emit_trailer(self, out: SourceBuilder) -> None:
+        """Extra module-level lines after ``make_kernel`` (native tier)."""
 
 
 def generate_kernel_source(
@@ -1509,16 +1528,21 @@ class CompiledKernel:
     ``meta`` is the ``SHARD_META`` literal of shard-box kernels (exchange
     snapshot spans and publication slot counts — what the tiled executor
     needs to allocate the shared seam snapshots), ``None`` for whole-grid
-    kernels.
+    kernels.  ``c_source`` is the C of a native-tier glue kernel (see
+    :mod:`repro.wse.native`), whose factory then also takes the loaded
+    library; ``None`` for NumPy kernels.
     """
 
     fingerprint: str
     source: str
     make: Callable
     meta: dict | None = None
+    c_source: str | None = None
 
-    def instantiate(self, state, plan: ExecutionPlan) -> dict:
+    def instantiate(self, state, plan: ExecutionPlan, library=None) -> dict:
         """Bind the kernel to one executor's live state and plan tables."""
+        if self.c_source is not None:
+            return self.make(state, plan, library)
         return self.make(state, plan)
 
 
@@ -1532,6 +1556,12 @@ class KernelCacheStatistics:
     disk_hits: int = 0
     #: full code generations.
     codegens: int = 0
+    #: native-tier shared libraries compiled (builds started).
+    native_builds: int = 0
+    #: native libraries already loaded in this process.
+    library_memory_hits: int = 0
+    #: native libraries loaded from a kernel store (no compiler run).
+    library_store_hits: int = 0
 
     @property
     def hits(self) -> int:
@@ -1540,6 +1570,10 @@ class KernelCacheStatistics:
     @property
     def lookups(self) -> int:
         return self.hits + self.codegens
+
+    @property
+    def library_hits(self) -> int:
+        return self.library_memory_hits + self.library_store_hits
 
 
 _MEMO: dict[str, CompiledKernel] = {}
@@ -1552,9 +1586,13 @@ def kernel_cache_statistics() -> KernelCacheStatistics:
 
 
 def reset_kernel_cache() -> None:
-    """Empty the memo and zero the counters (tests and benchmarks)."""
+    """Empty the memo (native libraries included) and zero the counters
+    (tests and benchmarks)."""
     global _STATISTICS
+    from repro.wse.native import reset_libraries
+
     _MEMO.clear()
+    reset_libraries()
     _STATISTICS = KernelCacheStatistics()
 
 
@@ -1562,22 +1600,32 @@ def _materialise(fingerprint: str, source: str) -> CompiledKernel:
     namespace: dict[str, Any] = {"np": np, "deque": deque}
     code = compile(source, f"<kernel {fingerprint[:12]}>", "exec")
     exec(code, namespace)
+    c_source = namespace.get("C_SOURCE")
+    if c_source is not None:
+        from repro.wse.native import PointerTable, native_function
+
+        namespace["native_pointers"] = PointerTable
+        namespace["native_function"] = native_function
     return CompiledKernel(
         fingerprint,
         source,
         namespace["make_kernel"],
         namespace.get("SHARD_META"),
+        c_source,
     )
 
 
-def _dump(fingerprint: str, source: str) -> None:
+def _dump(kernel: CompiledKernel) -> None:
     directory = os.environ.get(DUMP_ENV_VAR, "").strip()
     if not directory:
         return
     os.makedirs(directory, exist_ok=True)
-    path = os.path.join(directory, f"kernel_{fingerprint[:12]}.py")
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(source)
+    stem = os.path.join(directory, f"kernel_{kernel.fingerprint[:12]}")
+    with open(stem + ".py", "w", encoding="utf-8") as handle:
+        handle.write(kernel.source)
+    if kernel.c_source is not None:
+        with open(stem + ".c", "w", encoding="utf-8") as handle:
+            handle.write(kernel.c_source)
 
 
 def get_kernel(
@@ -1587,6 +1635,7 @@ def get_kernel(
     box: tuple[int, int, int, int] | None = None,
     geometry: ShardGeometry | None = None,
     rounds: int = 1,
+    native: bool = False,
 ) -> CompiledKernel:
     """The compiled kernel of one (image, plan[, shard box][, block depth]),
     cached by fingerprint.
@@ -1596,9 +1645,11 @@ def get_kernel(
     see :class:`repro.service.kernels.KernelSourceStore`), then a fresh
     code generation (which populates the store).  Raises
     :class:`KernelCodegenError` when the program cannot be fused; nothing
-    is cached in that case.
+    is cached in that case.  ``native=True`` asks for the native tier's
+    glue kernel (whole-grid only), whose ``c_source`` the caller builds.
     """
-    fingerprint = kernel_fingerprint(image, plan, box, geometry, rounds)
+    assert not native or box is None, "the native tier is whole-grid only"
+    fingerprint = kernel_fingerprint(image, plan, box, geometry, rounds, native)
     kernel = _MEMO.get(fingerprint)
     if kernel is not None:
         _STATISTICS.memory_hits += 1
@@ -1607,13 +1658,18 @@ def get_kernel(
     if source is not None:
         _STATISTICS.disk_hits += 1
     else:
-        source = generate_kernel_source(
-            image, plan, fingerprint, box, geometry, rounds
-        )
+        if native:
+            from repro.wse.native import generate_native_source
+
+            source = generate_native_source(image, plan, fingerprint, rounds)
+        else:
+            source = generate_kernel_source(
+                image, plan, fingerprint, box, geometry, rounds
+            )
         _STATISTICS.codegens += 1
         if store is not None:
             store.put(fingerprint, source)
-    _dump(fingerprint, source)
     kernel = _materialise(fingerprint, source)
+    _dump(kernel)
     _MEMO[fingerprint] = kernel
     return kernel

@@ -322,12 +322,12 @@ class AutoExecutor(Executor):
 
     name = "auto"
 
-    def __init__(self, image, width, height, plan=None):
+    def __init__(self, image, width, height, plan=None, kernel_store=None):
         # The statistics property below consults the delegate; it must
         # exist (as None) before super().__init__ assigns statistics.
         self._delegate: Executor | None = None
         self._own_statistics = SimulationStatistics()
-        super().__init__(image, width, height, plan)
+        super().__init__(image, width, height, plan, kernel_store)
         rounds = estimate_delivery_rounds(image)
         forced = os.environ.get(FORCE_ENV_VAR, "").strip()
         if forced:
@@ -351,7 +351,10 @@ class AutoExecutor(Executor):
             self.block_depth = choose_block_depth(choice, width, height, rounds)
             if self.block_depth > 1:
                 kwargs["rounds_per_block"] = self.block_depth
-        self._delegate = delegate_cls(image, width, height, self.plan, **kwargs)
+        self._delegate = delegate_cls(
+            image, width, height, self.plan, kernel_store=kernel_store,
+            **kwargs,
+        )
         #: the decision surface: which backend runs, and why.
         self.backend_name = choice
         self.backend_rationale = rationale
@@ -371,6 +374,11 @@ class AutoExecutor(Executor):
             self._own_statistics = value
         else:
             self._delegate.statistics = value
+
+    @property
+    def kernel_cache(self) -> dict | None:
+        """The delegate's kernel provenance (None when it runs no kernel)."""
+        return self._delegate.kernel_cache
 
     def _stamp(self) -> None:
         statistics = self.statistics

@@ -65,10 +65,20 @@ class SimulationStatistics:
     #: delivery rounds fused per kernel invocation (temporal blocking);
     #: 0 when the backend ran unblocked.  Descriptive, not additive.
     block_depth: int = field(default=0, compare=False)
+    #: which tier of the compiled kernel ran (``native`` or ``numpy``;
+    #: empty on interpreting backends) and why native did not.
+    kernel_tier: str = field(default="", compare=False)
+    native_fallback_reason: str = field(default="", compare=False)
 
     #: descriptive fields :meth:`merge` must not fold.
     _METADATA_FIELDS: ClassVar[frozenset[str]] = frozenset(
-        {"backend_decision", "backend_rationale", "block_depth"}
+        {
+            "backend_decision",
+            "backend_rationale",
+            "block_depth",
+            "kernel_tier",
+            "native_fallback_reason",
+        }
     )
 
     @classmethod
@@ -122,12 +132,17 @@ class Executor(ABC):
     #: registry key; subclasses must override.
     name = "abstract"
 
+    #: provenance of the generated kernel a backend ran (see the
+    #: ``compiled`` backend); None on backends that run no kernel.
+    kernel_cache: dict | None = None
+
     def __init__(
         self,
         image: "ProgramImage",
         width: int,
         height: int,
         plan: "ExecutionPlan | None" = None,
+        kernel_store=None,
     ):
         from repro.wse.plan import ExecutionPlan
 
@@ -142,6 +157,10 @@ class Executor(ABC):
             if plan is not None
             else ExecutionPlan.compile(image, width, height)
         )
+        #: where generated kernels and native libraries persist across
+        #: processes (:class:`~repro.service.kernels.KernelSourceStore`);
+        #: only backends that generate kernels use it.
+        self.kernel_store = kernel_store
         self.statistics = SimulationStatistics()
         #: set by :meth:`launch`, consumed by :meth:`run`: a run with no
         #: newly-launched entry is a settled no-op on every backend.

@@ -34,8 +34,9 @@ class ReferenceExecutor(Executor):
         width: int,
         height: int,
         plan=None,
+        kernel_store=None,
     ):
-        super().__init__(image, width, height, plan)
+        super().__init__(image, width, height, plan, kernel_store)
         self._grid: list[list[ProcessingElement]] = [
             [ProcessingElement(x, y) for x in range(width)] for y in range(height)
         ]

@@ -1106,8 +1106,9 @@ class TiledExecutor(Executor):
         height: int,
         plan: ExecutionPlan | None = None,
         rounds_per_block: int | None = None,
+        kernel_store=None,
     ):
-        super().__init__(image, width, height, plan)
+        super().__init__(image, width, height, plan, kernel_store)
         kx, ky = shard_grid(width, height)
         self.geometry = ShardGeometry.build(width, height, kx, ky)
         self.boxes = self.geometry.boxes()

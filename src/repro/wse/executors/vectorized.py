@@ -180,8 +180,9 @@ class VectorizedExecutor(Executor):
         width: int,
         height: int,
         plan: "ExecutionPlan | None" = None,
+        kernel_store=None,
     ):
-        super().__init__(image, width, height, plan)
+        super().__init__(image, width, height, plan, kernel_store)
         self.state = GridState(width, height)
         self.interpreter = LockstepInterpreter(image, self.state, self.plan)
         self.interpreter.initialise()
@@ -203,7 +204,8 @@ class VectorizedExecutor(Executor):
         array = self._field_array(name)
         self._check_columns(name, columns, array.shape[-1])
         # Host arrays are (width, height, z); grid arrays are (height, width, z).
-        array[:] = columns.transpose(1, 0, 2).astype(np.float32)
+        # The assignment casts to float32 in place: no temporary copy.
+        array[:] = columns.transpose(1, 0, 2)
 
     def read_field(self, name: str) -> np.ndarray:
         array = self._field_array(name)

@@ -47,6 +47,10 @@ class WseSimulator:
     :class:`ProgramImage` — the CSL text front-door (:mod:`repro.csl`)
     produces images directly, and they execute through the same plan and
     backends as pipeline-generated modules.
+
+    ``kernel_store`` (a :class:`~repro.service.kernels.KernelSourceStore`)
+    reaches the backend that binds a generated kernel, so its source and
+    native library are served from, and kept in, the shared store.
     """
 
     def __init__(
@@ -55,6 +59,7 @@ class WseSimulator:
         width: int | None = None,
         height: int | None = None,
         executor: str | None = None,
+        kernel_store=None,
     ):
         if isinstance(program_module, ProgramImage):
             self.image = program_module
@@ -71,7 +76,8 @@ class WseSimulator:
         # once; every backend replays the same plan.
         self.plan = ExecutionPlan.compile(self.image, self.width, self.height)
         self._executor = executor_cls(
-            self.image, self.width, self.height, self.plan
+            self.image, self.width, self.height, self.plan,
+            kernel_store=kernel_store,
         )
 
     def _validated_extent(

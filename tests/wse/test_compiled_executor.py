@@ -161,7 +161,7 @@ class TestFallback:
         bit-identical fields and statistics to ``vectorized``."""
         import repro.wse.executors.compiled as compiled_module
 
-        def declined(image, plan, store=None):
+        def declined(image, plan, **options):
             raise KernelCodegenError("test: declined")
 
         monkeypatch.setattr(compiled_module, "get_kernel", declined)
