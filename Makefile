@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: test bench sim-bench tiled-check fusion-check native-check service service-smoke run-service-check queue-check boundary-check csl-check lint
+.PHONY: test bench sim-bench fusion-check native-check service service-smoke run-service-check queue-check boundary-check csl-check lint
 
 # Tier-1 verification: the whole suite, fail fast.
 test:
@@ -11,31 +11,20 @@ test:
 bench:
 	$(PYTHON) -m pytest benchmarks -q
 
-# Simulator throughput smoke: the reference/vectorized sweep (>=3x on 8x8),
-# the paper-scale head-to-heads (tiled >= 1.2x compiled on 2+ CPU hosts,
-# compiled >= 1.2x vectorized), the auto-dispatcher row and the 256x256
-# weak/strong scaling sweep; refreshes BENCH_simulator.json and
-# BENCH_scaling.json at the repo root.
+# Simulator throughput smoke: the reference/vectorized/compiled sweep (>=3x
+# and >=5x over reference on 8x8), the paper-scale 64x64 head-to-heads
+# (compiled >= 1.2x vectorized, best blocked depth >= 1.15x unblocked), the
+# auto-dispatcher row (within 5% of the best recorded backend) and the
+# 128x128 trajectory rows; refreshes BENCH_simulator.json at the repo root.
 sim-bench:
 	$(PYTHON) -m pytest benchmarks/test_simulator_throughput.py -q
 
-# Gate the overlapped tiled protocol: the golden byte-identical digest
-# matrices (7 benchmarks x 3 boundary modes x all executors, including the
-# compiled-shard tiled backend and the auto dispatcher) plus the tiled
-# backend's own geometry/pool/failure-path suite.
-tiled-check:
-	$(PYTHON) -m pytest tests/wse/test_tiled_executor.py \
-	  tests/wse/test_auto_executor.py \
-	  tests/wse/test_executor_equivalence.py \
-	  tests/wse/test_boundary_conditions.py \
-	  tests/wse/test_comms_edge_cases.py -q
-
 # Gate temporal fusion (multi-round superkernels): the R-matrix goldens
-# (R in {1,2,4} byte-identical on compiled AND tiled across boundary
-# modes), fingerprint keying, the dispatcher's round estimate and online
-# learning, plus the paper-scale assertion that the best blocked depth
-# runs compiled >= 1.15x its unblocked self (warm cache, rows recorded
-# with an explicit `r` to BENCH_simulator.json).
+# (R in {1,2,4} byte-identical on compiled across boundary modes),
+# fingerprint keying, the dispatcher's round estimate and its choice of R,
+# plus the paper-scale assertion that the best blocked depth runs compiled
+# >= 1.15x its unblocked self (warm cache, rows recorded with an explicit
+# `r` to BENCH_simulator.json).
 fusion-check:
 	$(PYTHON) -m pytest tests/wse/test_temporal_fusion.py \
 	  benchmarks/test_simulator_throughput.py::test_temporal_blocking_speeds_up_compiled -q
@@ -72,7 +61,7 @@ run-service-check:
 	  benchmarks/test_service_throughput.py::test_warm_run_job_is_at_least_10x_faster_than_cold -q
 	REPRO_CACHE_DIR=$$(mktemp -d) sh -c '\
 	  $(PYTHON) -m repro.service run Jacobian UVKBE --grid 4x4 --nz 8 --time-steps 1 --repeat 2 && \
-	  $(PYTHON) -m repro.service run Jacobian --grid 4x4 --nz 8 --time-steps 1 --executor tiled && \
+	  $(PYTHON) -m repro.service run Jacobian --grid 4x4 --nz 8 --time-steps 1 --executor compiled && \
 	  $(PYTHON) -m repro.service stats && \
 	  $(PYTHON) -m repro.service purge'
 

@@ -33,7 +33,7 @@ def _batch():
             nx=4, ny=4, nz=16, time_steps=2
         )
         options = PipelineOptions(grid_width=4, grid_height=4, num_chunks=2)
-        for executor in ("vectorized", "tiled"):
+        for executor in ("vectorized", "compiled"):
             jobs.append((program, options, executor))
     return jobs
 

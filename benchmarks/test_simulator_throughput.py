@@ -10,25 +10,19 @@ a CI artifact):
   8x8 grid the vectorized lockstep executor is at least **3x** faster than
   the per-PE interpreter and the fused generated kernel at least **5x**
   (in practice both are orders of magnitude);
-* a paper-scale head-to-head of the overlapped ``tiled`` backend
-  (compiled shard kernels on the persistent pool) against ``compiled``
-  on a 64x64 fabric, pinning **tiled >= 1.2x compiled** on hosts with 2+
-  usable CPUs; single-CPU hosts cannot express shard parallelism, so they
-  instead pin a **>= 0.95x vectorized** no-regression floor (and still
-  record the trajectory);
-* a paper-scale head-to-head of ``compiled`` against ``vectorized`` on the
-  same 64x64 fabric, pinning a **1.2x** floor, with the kernel cache's
+* a paper-scale head-to-head of ``compiled`` against ``vectorized`` on a
+  64x64 fabric, pinning a **1.2x** floor, with the kernel cache's
   cold (code-generating) and warm (memo-served) runs recorded as separate
   trajectory rows and the warm run asserted to reuse the kernel without
   re-generating it;
+* the temporal-blocking head-to-head on the same fabric, pinning the best
+  blocked depth at **>= 1.15x** unblocked ``compiled``;
 * an ``auto`` dispatcher row on the same 64x64 fabric, pinning that the
   dispatcher's end-to-end time is within **5%** of the best recorded
-  single backend (its decision overhead is one trajectory read);
-* a large-fabric 128x128 trajectory of ``vectorized``, ``compiled``
-  (cold + warm) and ``tiled`` (recorded, not asserted — it exists to
-  track scaling over time);
-* a 256x256 weak/strong-scaling sweep of the tiled shard grid, written to
-  ``BENCH_scaling.json`` with ``tiled:<kx>x<ky>`` executor labels.
+  single backend (its decision overhead is the static cost model);
+* a large-fabric 128x128 trajectory of ``vectorized`` and ``compiled``
+  (cold + warm; recorded, not asserted — it exists to track scaling over
+  time).
 """
 
 import gc
@@ -40,14 +34,12 @@ import numpy as np
 from repro.baselines.numpy_ref import allocate_fields, field_to_columns
 from repro.benchmarks import benchmark_by_name
 from repro.eval.trajectory import make_record, merge_trajectory
-from repro.tests_support import usable_cpus
 from repro.transforms.pipeline import PipelineOptions, compile_stencil_program
 from repro.wse.codegen import (
     FUSION_ENV_VAR,
     kernel_cache_statistics,
     reset_kernel_cache,
 )
-from repro.wse.executors.tiled import SHARD_ENV_VAR
 from repro.wse.simulator import WseSimulator
 
 GRID_SIZES = (1, 2, 4, 8)
@@ -55,13 +47,12 @@ Z_DIM = 32
 TIME_STEPS = 2
 REPEATS = 3
 
-#: the paper-scale head-to-head configuration (tiled and compiled, each
-#: against vectorized).  The z extent and step count are sized so per-round
-#: array math dominates the per-round synchronisation cost of the shard
-#: pool by a wide margin.
-TILED_GRID = 64
-TILED_Z_DIM = 256
-TILED_TIME_STEPS = 12
+#: the paper-scale head-to-head configuration (compiled against vectorized,
+#: and blocked against unblocked compiled).  The z extent and step count
+#: are sized so per-round array math dominates the per-round dispatch cost.
+PAPER_GRID = 64
+PAPER_Z_DIM = 256
+PAPER_TIME_STEPS = 12
 
 #: the large-fabric trajectory configuration: four times the PEs of the
 #: paper-scale row, sized modestly in z and steps so the row stays cheap.
@@ -69,17 +60,8 @@ LARGE_GRID = 128
 LARGE_Z_DIM = 64
 LARGE_TIME_STEPS = 4
 
-#: the scaling-sweep configuration: 16x the PEs of the paper-scale row,
-#: shallow in z and steps so each shard-grid point stays affordable.
-SCALING_GRID = 256
-SCALING_Z_DIM = 32
-SCALING_TIME_STEPS = 2
-#: shard-grid extents swept for strong scaling (K of KxK).
-SCALING_EXTENTS = (1, 2)
-
 REPO_ROOT = Path(__file__).resolve().parent.parent
 TRAJECTORY_PATH = REPO_ROOT / "BENCH_simulator.json"
-SCALING_PATH = REPO_ROOT / "BENCH_scaling.json"
 
 
 def _compiled(grid: int, z_dim: int = Z_DIM, time_steps: int = TIME_STEPS):
@@ -100,8 +82,8 @@ def _best_simulation_seconds(program_module, columns, executor: str) -> float:
     """Best-of-N wall time of one full simulation (fresh backend per run).
 
     Backend construction and host-side field loading are included — they are
-    part of what a figure-regeneration run pays per simulation (for ``tiled``
-    that includes forking the shard workers) — while compilation is excluded
+    part of what a figure-regeneration run pays per simulation — while
+    compilation is excluded
     (it is served by the compile cache in practice).  GC is paused so a
     collection on one side cannot skew the ratio.
     """
@@ -174,79 +156,6 @@ def test_simulator_throughput_sweep_records_trajectory_and_speedup():
     )
 
 
-def _best_interleaved_seconds(program_module, columns, executors, repeats):
-    """Best-of-N wall times for several backends, measured interleaved.
-
-    Timing each backend in its own best-of-N block lets background load
-    drift between blocks skew the ratios; round-robin interleaving puts
-    every backend in the same load window on every repeat, so a noisy
-    phase penalises all of them equally.
-    """
-    best = {executor: float("inf") for executor in executors}
-    gc.collect()
-    gc.disable()
-    try:
-        for _ in range(repeats):
-            for executor in executors:
-                start = time.perf_counter()
-                simulator = WseSimulator(program_module, executor=executor)
-                for name, data in columns.items():
-                    simulator.load_field(name, data)
-                simulator.execute()
-                elapsed = time.perf_counter() - start
-                best[executor] = min(best[executor], elapsed)
-    finally:
-        gc.enable()
-    return best
-
-
-def test_tiled_beats_compiled_at_paper_scale(monkeypatch):
-    """Overlapped ``tiled`` >= 1.2x ``compiled`` on 64x64 (2+ CPUs); on
-    single-CPU hosts a >= 0.95x ``vectorized`` no-regression floor."""
-    # Pin the historical 2x2 shard grid: the measured configuration must
-    # not drift with the host-CPU-derived auto grid.
-    monkeypatch.setenv(SHARD_ENV_VAR, "2")
-    program_module, columns = _compiled(
-        TILED_GRID, z_dim=TILED_Z_DIM, time_steps=TILED_TIME_STEPS
-    )
-    timings = _best_interleaved_seconds(
-        program_module,
-        columns,
-        ("vectorized", "compiled", "tiled"),
-        REPEATS + 1,
-    )
-    vectorized_seconds = timings["vectorized"]
-    compiled_seconds = timings["compiled"]
-    tiled_seconds = timings["tiled"]
-    speedup = vectorized_seconds / tiled_seconds
-    grid = f"{TILED_GRID}x{TILED_GRID}"
-    merge_trajectory(
-        TRAJECTORY_PATH,
-        [
-            make_record("Jacobian", grid, "vectorized", vectorized_seconds, 1.0),
-            make_record("Jacobian", grid, "tiled", tiled_seconds, speedup),
-        ],
-    )
-
-    if usable_cpus() >= 2:
-        ratio = compiled_seconds / tiled_seconds
-        assert ratio >= 1.2, (
-            f"tiled-compiled speedup {ratio:.2f}x over compiled on {grid} is "
-            f"below the 1.2x requirement ({tiled_seconds * 1e3:.1f} ms vs "
-            f"{compiled_seconds * 1e3:.1f} ms); trajectory in {TRAJECTORY_PATH}"
-        )
-    else:
-        # One CPU cannot express shard parallelism; the compiled shard
-        # kernels and one-barrier protocol must still keep the backend
-        # within a whisker of the vectorized single-process path.
-        assert speedup >= 0.95, (
-            f"tiled executor at {speedup:.2f}x vectorized on {grid} regressed "
-            f"below the single-CPU 0.95x floor ({tiled_seconds * 1e3:.1f} ms "
-            f"vs {vectorized_seconds * 1e3:.1f} ms); trajectory in "
-            f"{TRAJECTORY_PATH}"
-        )
-
-
 def _one_simulation_seconds(program_module, columns, executor: str) -> float:
     """Wall time of a single simulation, setup included — what a cold
     (code-generating) run pays versus a warm (kernel-memo) one."""
@@ -267,7 +176,7 @@ def test_compiled_beats_vectorized_at_paper_scale():
     """``compiled`` >= 1.2x ``vectorized`` on a 64x64 fabric, and the warm
     run reuses the generated kernel instead of re-generating it."""
     program_module, columns = _compiled(
-        TILED_GRID, z_dim=TILED_Z_DIM, time_steps=TILED_TIME_STEPS
+        PAPER_GRID, z_dim=PAPER_Z_DIM, time_steps=PAPER_TIME_STEPS
     )
     vectorized_seconds = _best_simulation_seconds(
         program_module, columns, "vectorized"
@@ -287,7 +196,7 @@ def test_compiled_beats_vectorized_at_paper_scale():
     assert after_warm.memory_hits >= REPEATS
 
     speedup = vectorized_seconds / warm_seconds
-    grid = f"{TILED_GRID}x{TILED_GRID}"
+    grid = f"{PAPER_GRID}x{PAPER_GRID}"
     merge_trajectory(
         TRAJECTORY_PATH,
         [
@@ -328,7 +237,7 @@ def test_temporal_blocking_speeds_up_compiled(monkeypatch):
     unblocked measurements.
     """
     program_module, columns = _compiled(
-        TILED_GRID, z_dim=TILED_Z_DIM, time_steps=TILED_TIME_STEPS
+        PAPER_GRID, z_dim=PAPER_Z_DIM, time_steps=PAPER_TIME_STEPS
     )
     best = {depth: float("inf") for depth in FUSION_DEPTHS}
     gc.collect()
@@ -352,7 +261,7 @@ def test_temporal_blocking_speeds_up_compiled(monkeypatch):
         gc.enable()
         monkeypatch.delenv(FUSION_ENV_VAR, raising=False)
 
-    grid = f"{TILED_GRID}x{TILED_GRID}"
+    grid = f"{PAPER_GRID}x{PAPER_GRID}"
     merge_trajectory(
         TRAJECTORY_PATH,
         [
@@ -382,15 +291,15 @@ def test_temporal_blocking_speeds_up_compiled(monkeypatch):
 
 def test_auto_tracks_the_best_recorded_backend():
     """``auto`` on the paper-scale fabric must land within 5% of the best
-    recorded single backend — its decision overhead is one trajectory read
-    plus the delegate's own runtime."""
+    recorded single backend — its decision overhead is the static cost
+    model plus the delegate's own runtime."""
     from repro.eval.trajectory import read_trajectory
 
     program_module, columns = _compiled(
-        TILED_GRID, z_dim=TILED_Z_DIM, time_steps=TILED_TIME_STEPS
+        PAPER_GRID, z_dim=PAPER_Z_DIM, time_steps=PAPER_TIME_STEPS
     )
     auto_seconds = _best_simulation_seconds(program_module, columns, "auto")
-    grid = f"{TILED_GRID}x{TILED_GRID}"
+    grid = f"{PAPER_GRID}x{PAPER_GRID}"
     rows = [
         row
         for row in read_trajectory(TRAJECTORY_PATH)
@@ -420,8 +329,8 @@ def test_auto_tracks_the_best_recorded_backend():
 
 
 def test_large_fabric_trajectory_is_recorded():
-    """128x128: record ``vectorized``, ``compiled`` (cold and warm) and
-    ``tiled`` rows for scaling trends; no speedup floor is asserted here."""
+    """128x128: record ``vectorized`` and ``compiled`` (cold and warm) rows
+    for scaling trends; no speedup floor is asserted here."""
     program_module, columns = _compiled(
         LARGE_GRID, z_dim=LARGE_Z_DIM, time_steps=LARGE_TIME_STEPS
     )
@@ -431,7 +340,6 @@ def test_large_fabric_trajectory_is_recorded():
     reset_kernel_cache()
     cold_seconds = _one_simulation_seconds(program_module, columns, "compiled")
     warm_seconds = _best_simulation_seconds(program_module, columns, "compiled")
-    tiled_seconds = _best_simulation_seconds(program_module, columns, "tiled")
     grid = f"{LARGE_GRID}x{LARGE_GRID}"
     merge_trajectory(
         TRAJECTORY_PATH,
@@ -453,75 +361,8 @@ def test_large_fabric_trajectory_is_recorded():
                 vectorized_seconds / warm_seconds,
                 cache="warm",
             ),
-            make_record(
-                "Jacobian",
-                grid,
-                "tiled",
-                tiled_seconds,
-                vectorized_seconds / tiled_seconds,
-            ),
         ],
     )
-
-
-def test_scaling_sweep_records_weak_and_strong_rows(monkeypatch):
-    """256x256 shard-grid sweep: strong scaling (fixed fabric, growing
-    shard grid) plus one weak-scaling pair (per-shard work held constant
-    from 128x128/1x1 to 256x256/2x2).  Recorded to ``BENCH_scaling.json``
-    with ``tiled:<kx>x<ky>`` labels; no floor is asserted — single-CPU CI
-    hosts cannot express the parallelism, the artifact tracks it instead.
-    """
-    records = []
-    strong = {}
-    program_module, columns = _compiled(
-        SCALING_GRID, z_dim=SCALING_Z_DIM, time_steps=SCALING_TIME_STEPS
-    )
-    for extent in SCALING_EXTENTS:
-        monkeypatch.setenv(SHARD_ENV_VAR, str(extent))
-        strong[extent] = _best_simulation_seconds(
-            program_module, columns, "tiled"
-        )
-    base = strong[SCALING_EXTENTS[0]]
-    grid = f"{SCALING_GRID}x{SCALING_GRID}"
-    for extent, seconds in strong.items():
-        records.append(
-            make_record(
-                "JacobianStrong",
-                grid,
-                f"tiled:{extent}x{extent}",
-                seconds,
-                base / seconds,
-            )
-        )
-
-    # Weak scaling: the 2x2 sweep point owns 128x128 PEs per shard; pair
-    # it with a 128x128 fabric on a single shard (identical per-shard
-    # work, 4x the workers).  Ideal weak efficiency is speedup 1.0.
-    monkeypatch.setenv(SHARD_ENV_VAR, "1")
-    small_module, small_columns = _compiled(
-        LARGE_GRID, z_dim=SCALING_Z_DIM, time_steps=SCALING_TIME_STEPS
-    )
-    weak_base = _best_simulation_seconds(small_module, small_columns, "tiled")
-    records.append(
-        make_record(
-            "JacobianWeak",
-            f"{LARGE_GRID}x{LARGE_GRID}",
-            "tiled:1x1",
-            weak_base,
-            1.0,
-        )
-    )
-    records.append(
-        make_record(
-            "JacobianWeak",
-            grid,
-            "tiled:2x2",
-            strong[2],
-            weak_base / strong[2],
-        )
-    )
-    merge_trajectory(SCALING_PATH, records)
-    assert all(record["seconds"] > 0 for record in records)
 
 
 def test_executors_match_on_the_swept_program():
@@ -530,13 +371,12 @@ def test_executors_match_on_the_swept_program():
     byte-for-byte."""
     program_module, columns = _compiled(8)
     gathered = {}
-    for executor in ("reference", "vectorized", "tiled", "compiled", "auto"):
+    for executor in ("reference", "vectorized", "compiled", "auto"):
         simulator = WseSimulator(program_module, executor=executor)
         for name, data in columns.items():
             simulator.load_field(name, data)
         simulator.execute()
         gathered[executor] = simulator.read_field("v")
     assert gathered["reference"].tobytes() == gathered["vectorized"].tobytes()
-    assert gathered["reference"].tobytes() == gathered["tiled"].tobytes()
     assert gathered["reference"].tobytes() == gathered["compiled"].tobytes()
     assert gathered["reference"].tobytes() == gathered["auto"].tobytes()

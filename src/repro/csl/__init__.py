@@ -3,7 +3,7 @@
 Parses handwritten CSL source (the grammar subset
 :mod:`repro.backend.csl_printer` emits, shared via :mod:`repro.csl.surface`)
 into the same :class:`~repro.wse.interpreter.ProgramImage` the compilation
-pipeline produces, so handwritten kernels run on all five executors and can
+pipeline produces, so handwritten kernels run on all four executors and can
 be diff-tested field by field against generated code.
 
 Entry points:

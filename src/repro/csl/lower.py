@@ -5,7 +5,7 @@ This is the inverse of :mod:`repro.backend.csl_printer`: the AST produced by
 pipeline generates, so a parsed module drops into the existing
 :class:`~repro.wse.interpreter.ProgramImage` →
 :class:`~repro.wse.plan.ExecutionPlan` → executor machinery unchanged —
-handwritten CSL runs on all five backends exactly like generated CSL.
+handwritten CSL runs on all four backends exactly like generated CSL.
 
 Semantic errors (unknown buffers, unbound task ids, undefined names) raise
 :class:`CslLoweringError` with the ``file:line:col`` of the offending node.

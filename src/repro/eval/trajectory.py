@@ -18,11 +18,6 @@ cache distinction.
 ``"r": int`` — the temporal block depth (delivery rounds fused per kernel
 invocation) the run was measured at; absent means unblocked (R = 1).
 
-``"day": "YYYY-MM-DD"`` — the day an *online* observation was recorded
-(the ``auto`` dispatcher's opt-in learning rows); one row per
-(name, grid, executor, day) keeps the file bounded while still tracking
-drift.  Benchmark-written rows carry no day: they replace wholesale.
-
 ``speedup`` is relative to the record's baseline executor (1.0 for the
 baseline itself); ``executor`` names the execution backend measured, or a
 stage label (e.g. ``run-service``) for non-simulator benchmarks.
@@ -38,7 +33,7 @@ RECORD_KEYS = ("name", "grid", "executor", "seconds", "speedup")
 
 #: optional keys a record may additionally carry; a tuple enumerates the
 #: legal values, a type admits any instance of it.
-OPTIONAL_KEYS = {"cache": ("cold", "warm"), "r": int, "day": str}
+OPTIONAL_KEYS = {"cache": ("cold", "warm"), "r": int}
 
 #: bump when the record shape changes.
 TRAJECTORY_SCHEMA_VERSION = 1
@@ -52,7 +47,6 @@ def make_record(
     speedup: float,
     cache: str | None = None,
     r: int | None = None,
-    day: str | None = None,
 ) -> dict:
     """One schema-conforming trajectory record."""
     record = {
@@ -66,8 +60,6 @@ def make_record(
         record["cache"] = cache
     if r is not None:
         record["r"] = int(r)
-    if day is not None:
-        record["day"] = day
     return record
 
 
@@ -125,15 +117,14 @@ def read_trajectory(path: str | Path) -> list[dict]:
 
 def merge_trajectory(path: str | Path, records: list[dict]) -> Path:
     """Merge new records into a trajectory file by
-    ``(name, grid, executor, cache, r, day)``.
+    ``(name, grid, executor, cache, r)``.
 
     Existing records with the same key are replaced, everything else is
     preserved — so independent benchmarks (or a partial rerun of one) each
     refresh their own rows without clobbering the rest of the file (a
     backend's cold and warm measurements are distinct rows, as are rows at
-    different temporal block depths; online observations replace only the
-    same day's row).  An unreadable or stale-schema file is simply
-    rewritten.
+    different temporal block depths).  An unreadable or stale-schema file
+    is simply rewritten.
     """
     path = Path(path)
     key = lambda record: (
@@ -142,7 +133,6 @@ def merge_trajectory(path: str | Path, records: list[dict]) -> Path:
         record["executor"],
         record.get("cache"),
         record.get("r"),
-        record.get("day"),
     )
     try:
         existing = read_trajectory(path)

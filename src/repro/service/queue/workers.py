@@ -2,7 +2,7 @@
 
 Each worker is a daemon thread that atomically claims queued jobs from the
 :class:`~repro.service.queue.store.JobStore` and executes them.  Two
-execution modes, mirroring the ``tiled`` executor's approach:
+execution modes:
 
 * ``process`` (the default wherever ``fork`` exists) — the claimed job
   runs in a dedicated forked child process.  The child owns the job's
@@ -165,8 +165,7 @@ def _child_entry(cache_dir: str, job_id: int) -> None:
 
 def resolve_worker_mode(mode: str) -> str:
     """``auto`` picks crash-isolated ``process`` workers wherever ``fork``
-    exists (the same capability probe the tiled executor uses), otherwise
-    falls back to ``inline``."""
+    exists, otherwise falls back to ``inline``."""
     if mode not in ("auto", "process", "inline"):
         raise ValueError(
             f"unknown worker mode {mode!r}: expected 'auto', 'process' "

@@ -16,9 +16,8 @@ or planning semantics invalidates cached runs exactly once.
 *and* simulation entirely; misses compile through a
 :class:`~repro.service.service.CompileService` (its fingerprint cache
 deduplicates the compile stage across runs that differ only in run-level
-inputs) and simulate inline — the ``tiled`` backend brings its own
-process-level parallelism, so the service does not stack a second pool on
-top.
+inputs) and simulate inline, one job after the other; the job queue
+(:mod:`repro.service.queue`) is where run jobs fan out over processes.
 """
 
 from __future__ import annotations

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import os
 from dataclasses import replace
 
 import numpy as np
@@ -19,15 +20,14 @@ from repro.wse.simulator import WseSimulator
 def usable_cpus() -> int:
     """CPUs this process may actually schedule on (affinity-aware).
 
-    The parallelism floors in the benchmarks (pool compiles, tiled shard
-    speedup) are asserted only when the host can express them; plain
-    ``os.cpu_count()`` over-reports inside affinity-restricted containers.
-    Delegates to the tiled backend's counter so the benchmarks gate on the
-    same number the shard-grid heuristic actually uses.
+    The parallelism floors in the benchmarks (pool compiles) are asserted
+    only when the host can express them; plain ``os.cpu_count()``
+    over-reports inside affinity-restricted containers.
     """
-    from repro.wse.executors.tiled import usable_cpu_count
-
-    return usable_cpu_count()
+    try:
+        return len(os.sched_getaffinity(0))
+    except (AttributeError, OSError):
+        return os.cpu_count() or 1
 
 
 def random_initializer(seed: int = 7):

@@ -55,13 +55,7 @@ from repro.dialects import arith, csl, scf
 from repro.ir.attributes import StringAttr
 from repro.ir.operation import Operation
 from repro.ir.printer import print_module
-from repro.wse.plan import (
-    ExchangePlan,
-    ExecutionPlan,
-    ShardGeometry,
-    _callable_blocks,
-    seam_publication,
-)
+from repro.wse.plan import ExchangePlan, ExecutionPlan, _callable_blocks
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.wse.interpreter import ProgramImage
@@ -79,7 +73,7 @@ CODEGEN_VERSION = 2
 DUMP_ENV_VAR = "REPRO_COMPILED_DUMP"
 
 #: environment variable forcing the temporal block depth — how many delivery
-#: rounds the compiled/tiled backends fuse per kernel invocation.
+#: rounds the compiled backend fuses per kernel invocation.
 FUSION_ENV_VAR = "REPRO_FUSION_ROUNDS"
 
 
@@ -119,23 +113,19 @@ class KernelCodegenError(Exception):
 def kernel_fingerprint(
     image: "ProgramImage",
     plan: ExecutionPlan,
-    box: tuple[int, int, int, int] | None = None,
-    geometry: ShardGeometry | None = None,
     rounds: int = 1,
     native: bool = False,
 ) -> str:
-    """Content fingerprint of one (program module, plan[, shard box]) kernel.
+    """Content fingerprint of one (program module, plan) kernel.
 
     Hashes the deterministically printed program module together with the
     plan's canonical form and the codegen version, so two processes that
     compiled the same program to the same plan share one kernel — and any
     change to the program, the planning semantics or the emitter invalidates
-    it exactly once.  Shard-box kernels (the tiled backend's per-shard
-    replicas) additionally fold the box and the whole shard geometry, since
-    seam publication slots depend on every band/stripe edge.  Temporal-block
-    kernels fold their depth (``rounds > 1``) so each (plan, box, R) variant
-    caches exactly once; ``rounds == 1`` leaves the payload untouched —
-    unblocked fingerprints are insensitive to the parameter existing.
+    it exactly once.  Temporal-block kernels fold their depth
+    (``rounds > 1``) so each (plan, R) variant caches exactly once;
+    ``rounds == 1`` leaves the payload untouched — unblocked fingerprints
+    are insensitive to the parameter existing.
     Native-tier glue kernels fold the native emitter's version.
     """
     payload = {
@@ -143,9 +133,6 @@ def kernel_fingerprint(
         "module": print_module(image.module),
         "plan": plan.canonical(),
     }
-    if box is not None:
-        assert geometry is not None
-        payload["shard"] = {"box": list(box), "geometry": geometry.canonical()}
     if rounds != 1:
         payload["rounds"] = rounds
     if native:
@@ -258,24 +245,13 @@ class _KernelEmitter:
         self,
         image: "ProgramImage",
         plan: ExecutionPlan,
-        box: tuple[int, int, int, int] | None = None,
-        geometry: ShardGeometry | None = None,
         rounds: int = 1,
     ):
         self.image = image
         self.plan = plan
-        #: ``(y0, y1, x0, x1)`` for a shard-box kernel, ``None`` for the
-        #: whole-grid kernel (whose emission this mode must not perturb).
-        self.box = box
-        self.geometry = geometry
         #: temporal block depth; ``> 1`` grows the in-kernel round loop
-        #: (``run_block``) and the direct-to-receive delivery.  Shard-box
-        #: kernels block through extended-window plans instead, never here.
+        #: (``run_block``) and the direct-to-receive delivery.
         self.rounds = rounds
-        assert rounds == 1 or box is None, (
-            "temporal blocks and shard boxes compose via BlockPlanView, "
-            "not via box= + rounds="
-        )
         self._fn_names: dict[str, str] = {}
         self._buffer_names: dict[str, str] = {}
         self._views: dict[tuple, str] = {}  # (buffer, offset, length, stride)
@@ -283,8 +259,6 @@ class _KernelEmitter:
         self._scratch: dict[int, str] = {}  # dest length -> name
         #: (eid, exchange plan, authoritative source buffer) per comms op.
         self._exchanges: list[tuple[int, ExchangePlan, str]] = []
-        #: shard-mode fancy-index constants: (values, orient) -> name.
-        self._indices: dict[tuple[tuple[int, ...], str], str] = {}
         #: exchanges delivered straight into the receive slab (block mode):
         #: their staging slabs are never allocated.
         self._direct_eids: set[int] = set()
@@ -294,26 +268,6 @@ class _KernelEmitter:
         self._fill_flags: set[int] = set()
         self._write_sets: dict[str, set[str] | None] = {}
         self._temp = 0
-        if box is not None:
-            assert geometry is not None
-            pub_rows, pub_cols = seam_publication(plan, geometry)
-            self._pub_row_slots = {row: slot for slot, row in enumerate(pub_rows)}
-            self._pub_col_slots = {col: slot for slot, col in enumerate(pub_cols)}
-
-    @property
-    def _num_pes(self) -> int:
-        if self.box is None:
-            return self.plan.width * self.plan.height
-        y0, y1, x0, x1 = self.box
-        return (y1 - y0) * (x1 - x0)
-
-    @property
-    def _grid_dims(self) -> tuple[int, int]:
-        """(height, width) of the arrays this kernel operates on."""
-        if self.box is None:
-            return self.plan.height, self.plan.width
-        y0, y1, x0, x1 = self.box
-        return y1 - y0, x1 - x0
 
     # -- naming --------------------------------------------------------- #
 
@@ -376,62 +330,6 @@ class _KernelEmitter:
     def _fresh(self) -> str:
         self._temp += 1
         return f"t{self._temp}"
-
-    def _index_name(self, values: list[int], orient: str) -> str:
-        """A bind-time ``np.intp`` index-array constant (deduplicated).
-
-        ``orient`` is ``"1d"`` for a lone advanced index, ``"row"``/``"col"``
-        for the broadcast pair of a doubly-advanced selection."""
-        key = (tuple(values), orient)
-        name = self._indices.get(key)
-        if name is None:
-            name = f"ix{len(self._indices)}"
-            self._indices[key] = name
-        return name
-
-    @staticmethod
-    def _contiguous(values: list[int]) -> bool:
-        return all(b - a == 1 for a, b in zip(values, values[1:]))
-
-    def _sel_exprs(self, rows: list[int], cols: list[int]) -> tuple[str, str]:
-        """Row/column index expressions selecting ``rows x cols`` of a 3-D
-        array.  Contiguous runs become slices; a lone ragged axis becomes a
-        1-D advanced index (position-preserving next to slices); two ragged
-        axes become an outer-broadcast ``(R,1) x (1,C)`` pair."""
-        rows_contiguous = self._contiguous(rows)
-        cols_contiguous = self._contiguous(cols)
-        if rows_contiguous and cols_contiguous:
-            return f"{rows[0]}:{rows[-1] + 1}", f"{cols[0]}:{cols[-1] + 1}"
-        if rows_contiguous:
-            return f"{rows[0]}:{rows[-1] + 1}", self._index_name(cols, "1d")
-        if cols_contiguous:
-            return self._index_name(rows, "1d"), f"{cols[0]}:{cols[-1] + 1}"
-        return self._index_name(rows, "row"), self._index_name(cols, "col")
-
-    @staticmethod
-    def _box_axis(
-        table_axis: tuple[int | None, ...], lo: int, hi: int
-    ) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
-        """Classify one axis of a halo table restricted to ``[lo, hi)``.
-
-        Returns ``(own, remote)`` where ``own`` pairs each local destination
-        index with its *local* source index (source inside the box) and
-        ``remote`` pairs it with the *global* source index (source owned by
-        a sibling shard, read through its seam publication).  Dirichlet
-        off-fabric destinations (``None`` sources) appear in neither — they
-        keep the bind-time constant fill, exactly like the full-grid path.
-        """
-        own: list[tuple[int, int]] = []
-        remote: list[tuple[int, int]] = []
-        for local in range(hi - lo):
-            src = table_axis[lo + local]
-            if src is None:
-                continue
-            if lo <= src < hi:
-                own.append((local, src - lo))
-            else:
-                remote.append((local, src))
-        return own, remote
 
     # -- value resolution ----------------------------------------------- #
 
@@ -813,31 +711,6 @@ class _KernelEmitter:
         return True
 
     @staticmethod
-    def _shift_run(
-        axis: tuple[int | None, ...], delta: int
-    ) -> tuple[int, int]:
-        """Destination bounds ``[lo, hi)`` of a fill-path table axis.
-
-        The in-fabric cells of a constant-fill (Dirichlet) axis must form
-        one contiguous pure-shift run (``axis[i] == i + delta``) for the
-        single shifted-slice copy to represent them; for whole-fabric tables
-        this reproduces :meth:`HaloTable.interior_box` exactly, and for the
-        extended-window tables of a temporal block it tightens the bounds to
-        the cells whose sources actually sit inside the window.
-        """
-        present = [i for i, src in enumerate(axis) if src is not None]
-        if not present:
-            return 0, 0
-        lo, hi = present[0], present[-1] + 1
-        if hi - lo != len(present) or any(
-            axis[i] != i + delta for i in present
-        ):
-            raise KernelCodegenError(
-                "constant-fill halo table is not one contiguous shifted run"
-            )
-        return lo, hi
-
-    @staticmethod
     def _axis_runs(
         axis: tuple[int, ...]
     ) -> list[tuple[int, int, int]]:
@@ -861,9 +734,6 @@ class _KernelEmitter:
         source_buffer: str,
         b: SourceBuilder,
     ) -> None:
-        if self.box is not None:
-            self._emit_box_exchange_fns(eid, exchange, source_buffer, b)
-            return
         if self.rounds > 1 and self._direct_staging_safe(
             exchange, source_buffer
         ):
@@ -1027,8 +897,7 @@ class _KernelEmitter:
 
         if self.plan.gather_indices(direction) is None:
             dx, dy = direction
-            y0, y1 = self._shift_run(table.rows, dy)
-            x0, x1 = self._shift_run(table.cols, dx)
+            y0, y1, x0, x1 = table.interior_box()
             if y0 >= y1 or x0 >= x1:
                 return
             copy(
@@ -1057,167 +926,6 @@ class _KernelEmitter:
         else:
             b.line(f"np.multiply({gathered}, {coefficient}, out={dest})")
 
-    # -- shard-box exchange (overlapped tiled protocol) ------------------- #
-
-    def _emit_box_exchange_fns(
-        self,
-        eid: int,
-        exchange: ExchangePlan,
-        source_buffer: str,
-        b: SourceBuilder,
-    ) -> None:
-        """The four per-exchange hooks of a shard-box kernel.
-
-        ``publish_<eid>`` copies the shard's seam rows/columns of the source
-        buffer into the shared snapshots; ``stage_interior_<eid>`` stages
-        every destination whose (boundary-folded) source lies inside the box
-        — legal while siblings still compute; ``stage_rim_<eid>`` stages the
-        remaining in-fabric destinations out of sibling snapshots — legal
-        only once the needed siblings published; ``deliver_<eid>`` is the
-        unchanged phase-2 copy+callback sequence.  The interior/rim split is
-        a partition of the full-grid staging, so the staged bytes — and the
-        per-PE counters — are identical to the single-process kernel.
-        """
-        depth = exchange.chunk_size * len(exchange.directions)
-        span = exchange.num_chunks * exchange.chunk_size
-        offset = exchange.source_offset
-        source = self._buffer(source_buffer)
-        y0, y1, x0, x1 = self.box
-
-        b.line(f"def publish_{eid}():")
-        with b.indented():
-            body_start = len(b)
-            if span:
-                for row, slot in self._pub_row_slots.items():
-                    if y0 <= row < y1:
-                        b.line(
-                            f"rs_{eid}[{slot}, {x0}:{x1}] = "
-                            f"{source}[{row - y0}, :, {offset}:{offset + span}]"
-                        )
-                for col, slot in self._pub_col_slots.items():
-                    if x0 <= col < x1:
-                        b.line(
-                            f"cs_{eid}[{y0}:{y1}, {slot}] = "
-                            f"{source}[:, {col - x0}, {offset}:{offset + span}]"
-                        )
-            if len(b) == body_start:
-                b.line("pass")
-
-        total = exchange.num_chunks * exchange.chunk_size * len(
-            exchange.directions
-        )
-        for rim in (False, True):
-            b.line(f"def stage_{'rim' if rim else 'interior'}_{eid}():")
-            with b.indented():
-                body_start = len(b)
-                for chunk in range(exchange.num_chunks):
-                    start = offset + chunk * exchange.chunk_size
-                    stop = start + exchange.chunk_size
-                    for slot, direction in enumerate(exchange.directions):
-                        self._emit_box_stage_direction(
-                            eid, exchange, chunk, slot, direction,
-                            source, start, stop, b, rim,
-                        )
-                if not rim and total:
-                    b.line(f"counters['wavelets_sent'] += {total}")
-                if len(b) == body_start:
-                    b.line("pass")
-
-        b.line(f"def deliver_{eid}():")
-        with b.indented():
-            body_start = len(b)
-            receive_view = (
-                self._static_view(
-                    _DsdExpr(exchange.receive_buffer, 0, depth, 1)
-                )
-                if depth
-                else None
-            )
-            for chunk in range(exchange.num_chunks):
-                if receive_view is not None:
-                    b.line(f"np.copyto({receive_view}, st{eid}_{chunk})")
-                if exchange.receive_callback:
-                    argument = chunk * exchange.chunk_size
-                    b.line(f"{self._fn(exchange.receive_callback)}({argument})")
-            if exchange.done_callback:
-                b.line(
-                    f"queue.append(({self._fn(exchange.done_callback)}, 0))"
-                )
-            if len(b) == body_start:
-                b.line("pass")
-
-    def _emit_box_stage_direction(
-        self,
-        eid: int,
-        exchange: ExchangePlan,
-        chunk: int,
-        slot: int,
-        direction: tuple[int, int],
-        source: str,
-        start: int,
-        stop: int,
-        b: SourceBuilder,
-        rim: bool,
-    ) -> None:
-        """One direction-slot of one chunk, restricted to the shard box.
-
-        The destination cells split by where their folded source lives:
-        inside the box (interior — copied from the live shard view), in a
-        sibling shard (rim — copied from the sibling's seam snapshot), or
-        off-fabric (Dirichlet — left at the bind-time constant prefill).
-        Remote *rows* read whole strips of the row snapshot (every shard of
-        the source band publishes its column segment), so diagonal-corner
-        sources need no extra region.
-        """
-        z0 = slot * exchange.chunk_size
-        z1 = z0 + exchange.chunk_size
-        coefficient = (
-            f"c{eid}_{slot}" if exchange.coefficients is not None else None
-        )
-        table = self.plan.halo_table(direction)
-        y0, y1, x0, x1 = self.box
-        own_rows, remote_rows = self._box_axis(table.rows, y0, y1)
-        own_cols, remote_cols = self._box_axis(table.cols, x0, x1)
-        offset = exchange.source_offset
-
-        def copy(dest_rows, dest_cols, src_expr):
-            dr, dc = self._sel_exprs(
-                [d for d, _ in dest_rows], [d for d, _ in dest_cols]
-            )
-            value = src_expr if coefficient is None else (
-                f"{src_expr} * {coefficient}"
-            )
-            b.line(f"st{eid}_{chunk}[{dr}, {dc}, {z0}:{z1}] = {value}")
-
-        if not rim:
-            if own_rows and own_cols:
-                sr, sc = self._sel_exprs(
-                    [s for _, s in own_rows], [s for _, s in own_cols]
-                )
-                copy(own_rows, own_cols,
-                     f"{source}[{sr}, {sc}, {start}:{stop}]")
-            return
-        zs, ze = start - offset, stop - offset
-        # Remote rows x every in-fabric column: full-width row strips.
-        in_fabric_cols = sorted(
-            [(d, x0 + s) for d, s in own_cols] + remote_cols
-        )
-        if remote_rows and in_fabric_cols:
-            sr, sc = self._sel_exprs(
-                [self._pub_row_slots[s] for _, s in remote_rows],
-                [g for _, g in in_fabric_cols],
-            )
-            copy(remote_rows, in_fabric_cols,
-                 f"rs_{eid}[{sr}, {sc}, {zs}:{ze}]")
-        # Own rows x remote columns: column strips of the source stripe.
-        if own_rows and remote_cols:
-            sr, sc = self._sel_exprs(
-                [y0 + s for _, s in own_rows],
-                [self._pub_col_slots[s] for _, s in remote_cols],
-            )
-            copy(own_rows, remote_cols,
-                 f"cs_{eid}[{sr}, {sc}, {zs}:{ze}]")
-
     def _emit_stage_direction(
         self,
         eid: int,
@@ -1245,14 +953,9 @@ class _KernelEmitter:
                 b.line(f"np.multiply({gathered}, {coefficient}, out={staging})")
             return
         # Dirichlet fill path: the staging border was prefilled at bind
-        # time; only the interior rectangle moves per round.  The bounds
-        # come from the table's contiguous shifted run — identical to the
-        # geometric interior box on whole-fabric tables, tighter on the
-        # extended-window tables of a temporal block.
-        table = self.plan.halo_table(direction)
+        # time; only the interior rectangle moves per round.
         dx, dy = direction
-        y0, y1 = self._shift_run(table.rows, dy)
-        x0, x1 = self._shift_run(table.cols, dx)
+        y0, y1, x0, x1 = self.plan.halo_table(direction).interior_box()
         if y0 >= y1 or x0 >= x1:
             return
         staging = (
@@ -1267,24 +970,6 @@ class _KernelEmitter:
         else:
             b.line(f"np.multiply({shifted}, {coefficient}, out={staging})")
 
-    def _emit_box_dispatcher(
-        self, b: SourceBuilder, name: str, returns: int | None
-    ) -> None:
-        """A pending-eid dispatcher for one shard-protocol hook."""
-        b.line(f"def {name}():")
-        with b.indented():
-            b.line("eid = pending[0]")
-            b.line("if eid < 0:")
-            with b.indented():
-                b.line("return 0" if returns is not None else "return")
-            for eid, _, _ in self._exchanges:
-                keyword = "if" if eid == 0 else "elif"
-                b.line(f"{keyword} eid == {eid}:")
-                with b.indented():
-                    b.line(f"{name}_{eid}()")
-            if returns is not None:
-                b.line(f"return {returns}")
-
     # -- assembly --------------------------------------------------------- #
 
     def emit(self, fingerprint: str | None = None) -> str:
@@ -1297,12 +982,6 @@ class _KernelEmitter:
         delivery = SourceBuilder(indent=1)
         for eid, exchange, source_buffer in self._exchanges:
             self._emit_deliver_fn(eid, exchange, source_buffer, delivery)
-        if self.box is not None:
-            self._emit_box_dispatcher(delivery, "publish", returns=None)
-            self._emit_box_dispatcher(
-                delivery, "stage_interior", returns=self._num_pes
-            )
-            self._emit_box_dispatcher(delivery, "stage_rim", returns=None)
         delivery.line("def deliver():")
         with delivery.indented():
             delivery.line("eid = pending[0]")
@@ -1315,7 +994,7 @@ class _KernelEmitter:
                 delivery.line(f"{keyword} eid == {eid}:")
                 with delivery.indented():
                     delivery.line(f"deliver_{eid}()")
-            delivery.line(f"return {self._num_pes}")
+            delivery.line(f"return {self.plan.width * self.plan.height}")
 
         out = SourceBuilder()
         boundary = self.plan.boundary
@@ -1334,21 +1013,6 @@ class _KernelEmitter:
             )
         if fingerprint:
             out.line(f"# fingerprint {fingerprint}")
-        if self.box is not None:
-            y0, y1, x0, x1 = self.box
-            out.line(
-                f"# shard box rows [{y0}, {y1}) cols [{x0}, {x1}) of a "
-                f"{self.geometry.kx}x{self.geometry.ky} decomposition"
-            )
-            meta = {
-                "exchanges": [
-                    [eid, exchange.num_chunks * exchange.chunk_size]
-                    for eid, exchange, _ in self._exchanges
-                ],
-                "pub_rows": len(self._pub_row_slots),
-                "pub_cols": len(self._pub_col_slots),
-            }
-            out.line(f"SHARD_META = {meta!r}")
         out.line(f"def make_kernel({self.MAKE_PARAMS}):")
         with out.indented():
             out.line("counters = state.counters")
@@ -1357,18 +1021,6 @@ class _KernelEmitter:
             out.line("pending = [-1]")
             for buffer in sorted(self.plan.buffers):
                 out.line(f"{self._buffer_names[buffer]} = state.buffers[{buffer!r}]")
-            if self.box is not None:
-                for eid, _, _ in self._exchanges:
-                    out.line(
-                        f"rs_{eid}, cs_{eid} = state.seam_snapshots[{eid}]"
-                    )
-                for (values, orient), name in self._indices.items():
-                    expression = f"np.asarray({values!r}, dtype=np.intp)"
-                    if orient == "row":
-                        expression += "[:, None]"
-                    elif orient == "col":
-                        expression += "[None, :]"
-                    out.line(f"{name} = {expression}")
             # Static whole-grid DSD views, bound (and range-checked) once.
             for key, name in self._views.items():
                 buffer, offset, length, stride = key
@@ -1387,8 +1039,7 @@ class _KernelEmitter:
                     f"{direction[1]}))"
                 )
             # Per-exchange constants, staging buffers and border prefill.
-            height, width = self._grid_dims
-            grid = f"{height}, {width}"
+            grid = f"{self.plan.height}, {self.plan.width}"
             for eid, exchange, _ in self._exchanges:
                 if exchange.coefficients is not None:
                     for slot, coefficient in enumerate(exchange.coefficients):
@@ -1474,10 +1125,6 @@ class _KernelEmitter:
                 out.line(f"'fns': {{{fns}}},")
                 out.line("'drain': drain, 'deliver': deliver, "
                          "'settled': settled,")
-                if self.box is not None:
-                    out.line("'publish': publish, "
-                             "'stage_interior': stage_interior,")
-                    out.line("'stage_rim': stage_rim,")
                 if self.rounds > 1:
                     out.line("'run_block': run_block,")
                 out.line("'queue': queue, 'pending': pending,")
@@ -1496,8 +1143,6 @@ def generate_kernel_source(
     image: "ProgramImage",
     plan: ExecutionPlan,
     fingerprint: str | None = None,
-    box: tuple[int, int, int, int] | None = None,
-    geometry: ShardGeometry | None = None,
     rounds: int = 1,
 ) -> str:
     """Emit the fused per-round kernel of one (image, plan) as Python source.
@@ -1505,15 +1150,13 @@ def generate_kernel_source(
     The emission is deterministic: the same image and plan produce
     byte-identical source (names are assigned in sorted/traversal order and
     no environmental state leaks in), which the golden dump test pins.
-    With ``box``/``geometry`` the kernel is restricted to one shard box and
-    grows the overlapped-exchange hooks (``publish`` / ``stage_interior`` /
-    ``stage_rim``) plus a module-level ``SHARD_META`` literal.  With
-    ``rounds > 1`` the kernel is a temporal block: it grows a ``run_block``
-    hook executing up to that many delivery rounds per invocation, and
-    deliveries stage straight into the receive slab where provably safe;
-    ``rounds == 1`` emission is byte-identical to not passing the parameter.
+    With ``rounds > 1`` the kernel is a temporal block: it grows a
+    ``run_block`` hook executing up to that many delivery rounds per
+    invocation, and deliveries stage straight into the receive slab where
+    provably safe; ``rounds == 1`` emission is byte-identical to not
+    passing the parameter.
     """
-    return _KernelEmitter(image, plan, box, geometry, rounds).emit(fingerprint)
+    return _KernelEmitter(image, plan, rounds).emit(fingerprint)
 
 
 # --------------------------------------------------------------------------- #
@@ -1525,10 +1168,7 @@ def generate_kernel_source(
 class CompiledKernel:
     """One materialised kernel: fingerprint, source text and factory.
 
-    ``meta`` is the ``SHARD_META`` literal of shard-box kernels (exchange
-    snapshot spans and publication slot counts — what the tiled executor
-    needs to allocate the shared seam snapshots), ``None`` for whole-grid
-    kernels.  ``c_source`` is the C of a native-tier glue kernel (see
+    ``c_source`` is the C of a native-tier glue kernel (see
     :mod:`repro.wse.native`), whose factory then also takes the loaded
     library; ``None`` for NumPy kernels.
     """
@@ -1536,7 +1176,6 @@ class CompiledKernel:
     fingerprint: str
     source: str
     make: Callable
-    meta: dict | None = None
     c_source: str | None = None
 
     def instantiate(self, state, plan: ExecutionPlan, library=None) -> dict:
@@ -1610,7 +1249,6 @@ def _materialise(fingerprint: str, source: str) -> CompiledKernel:
         fingerprint,
         source,
         namespace["make_kernel"],
-        namespace.get("SHARD_META"),
         c_source,
     )
 
@@ -1632,13 +1270,11 @@ def get_kernel(
     image: "ProgramImage",
     plan: ExecutionPlan,
     store=None,
-    box: tuple[int, int, int, int] | None = None,
-    geometry: ShardGeometry | None = None,
     rounds: int = 1,
     native: bool = False,
 ) -> CompiledKernel:
-    """The compiled kernel of one (image, plan[, shard box][, block depth]),
-    cached by fingerprint.
+    """The compiled kernel of one (image, plan[, block depth]), cached by
+    fingerprint.
 
     Lookup order: the in-process memo, then ``store`` (any object with
     ``get(fingerprint) -> str | None`` and ``put(fingerprint, source)`` —
@@ -1646,10 +1282,9 @@ def get_kernel(
     code generation (which populates the store).  Raises
     :class:`KernelCodegenError` when the program cannot be fused; nothing
     is cached in that case.  ``native=True`` asks for the native tier's
-    glue kernel (whole-grid only), whose ``c_source`` the caller builds.
+    glue kernel, whose ``c_source`` the caller builds.
     """
-    assert not native or box is None, "the native tier is whole-grid only"
-    fingerprint = kernel_fingerprint(image, plan, box, geometry, rounds, native)
+    fingerprint = kernel_fingerprint(image, plan, rounds, native)
     kernel = _MEMO.get(fingerprint)
     if kernel is not None:
         _STATISTICS.memory_hits += 1
@@ -1663,9 +1298,7 @@ def get_kernel(
 
             source = generate_native_source(image, plan, fingerprint, rounds)
         else:
-            source = generate_kernel_source(
-                image, plan, fingerprint, box, geometry, rounds
-            )
+            source = generate_kernel_source(image, plan, fingerprint, rounds)
         _STATISTICS.codegens += 1
         if store is not None:
             store.put(fingerprint, source)

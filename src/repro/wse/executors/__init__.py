@@ -1,6 +1,6 @@
 """Pluggable execution backends for the WSE fabric simulator.
 
-Five backends ship in-tree, all replaying the same pre-compiled
+Four backends ship in-tree, all replaying the same pre-compiled
 :class:`~repro.wse.plan.ExecutionPlan`:
 
 * ``reference`` — the original per-PE Python interpreter
@@ -14,19 +14,13 @@ Five backends ship in-tree, all replaying the same pre-compiled
   (:mod:`repro.wse.executors.compiled`): code-generates the whole delivery
   round from the plan into one fused Python/NumPy function
   (:mod:`repro.wse.codegen`), cached process-wide by content fingerprint.
-  Bit-identical to ``vectorized`` and the fastest single-process backend.
-* ``tiled`` — the sharded multiprocess executor
-  (:mod:`repro.wse.executors.tiled`): partitions the fabric into kx×ky
-  shards run on a persistent pool of forked worker processes over
-  shared-memory buffers, each shard replaying a box-restricted compiled
-  kernel with the seam exchange overlapped against interior compute.
-  Bit-identical to ``vectorized`` and faster on large (64×64+) grids
-  with 2+ CPUs.
-* ``auto`` — the profile-guided dispatcher
-  (:mod:`repro.wse.executors.auto`): picks one of the four real backends
-  per workload from recorded ``BENCH_*.json`` trajectory rows and the
-  host cost model, then delegates everything to it; the decision and its
-  rationale are stamped on the run's statistics.
+  With a C compiler its native tier runs the DSD work as C.  Bit-identical
+  to ``vectorized`` and the fastest backend from a few thousand PEs up.
+* ``auto`` — the dispatcher (:mod:`repro.wse.executors.auto`): picks one
+  of the three real backends, and the temporal block depth for
+  ``compiled``, with a static host cost model over the plan size (PEs ×
+  column depth × delivery rounds), then delegates everything to it; the
+  decision and its rationale are stamped on the run's statistics.
 
 Selection, in priority order: the ``executor=`` argument of
 :class:`repro.wse.simulator.WseSimulator`, the ``REPRO_EXECUTOR``
@@ -49,7 +43,6 @@ from repro.wse.executors.base import (
 from repro.wse.executors.auto import AutoExecutor
 from repro.wse.executors.compiled import CompiledExecutor
 from repro.wse.executors.reference import ReferenceExecutor
-from repro.wse.executors.tiled import TiledExecutor
 from repro.wse.executors.vectorized import VectorizedExecutor
 
 __all__ = [
@@ -60,7 +53,6 @@ __all__ = [
     "Executor",
     "ReferenceExecutor",
     "SimulationStatistics",
-    "TiledExecutor",
     "VectorizedExecutor",
     "available_executors",
     "default_executor_name",

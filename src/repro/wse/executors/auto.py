@@ -1,37 +1,28 @@
-"""The ``auto`` backend: profile-guided dispatch over the real backends.
+"""The ``auto`` backend: a static host-cost-model choice of backend.
 
 Every backend replays the same execution plan with identical observable
 results, so the only open question per workload is *which one is fastest
-on this host* — small fabrics favour the reference/vectorized paths
-(kernel generation and forking cost more than they save), large fabrics
-favour ``compiled``, and large fabrics on multi-core hosts favour the
-sharded ``tiled``/``compiled`` composition.  This dispatcher makes that
-choice per simulator instance and then delegates everything to the chosen
-backend.
+on this host*: the per-PE ``reference`` interpreter on a single PE,
+``vectorized`` on small fabrics (kernel generation costs more than it
+saves), ``compiled`` at a temporal block depth R from a few thousand PEs
+up.  This dispatcher makes that choice per simulator instance, from the
+plan size alone, and then delegates everything to the chosen backend.
 
-The decision is profile-guided in the spirit of PGO surveys: recorded
-``BENCH_simulator.json`` trajectory rows (written by the throughput
-benchmarks, host-specific) are consulted first — an exact grid match is
-trusted outright, a near-miss is scaled by the PE-count ratio — and only
-workloads the trajectory has never seen fall back to the analytic host
-cost model in :func:`repro.wse.perf_model.predict_host_seconds`, whose
-coefficients are themselves fitted against recorded trajectories.  The
-decision and its rationale are stamped on the run's
+The rule is static: :func:`repro.wse.perf_model.predict_host_seconds`
+prices each candidate from the PE count, the column depth and the
+delivery rounds :func:`estimate_delivery_rounds` reads off the program's
+time loop; the cheapest wins, and :func:`choose_block_depth` prices R for
+``compiled``.  The decision and its rationale are stamped on the run's
 :class:`SimulationStatistics` (``backend_decision`` /
 ``backend_rationale``) so every result is auditable.
 
-Environment knobs: ``REPRO_AUTO_BACKEND`` forces the delegate (the
-dispatcher still stamps the rationale as forced); ``REPRO_AUTO_TRAJECTORY``
-points at an alternative trajectory file (defaults to
-``BENCH_simulator.json`` in the working directory, then the repo root).
+Environment knob: ``REPRO_AUTO_BACKEND`` forces the delegate (the
+dispatcher still stamps the rationale as forced).
 """
 
 from __future__ import annotations
 
-import math
 import os
-import time
-from pathlib import Path
 
 import numpy as np
 
@@ -43,55 +34,17 @@ from repro.wse.executors.base import (
     executor_by_name,
     register_executor,
 )
-from repro.wse.executors.tiled import shard_grid, usable_cpu_count
 
 #: force the delegate backend, bypassing the decision procedure.
 FORCE_ENV_VAR = "REPRO_AUTO_BACKEND"
-
-#: trajectory file consulted for recorded backend timings.
-TRAJECTORY_ENV_VAR = "REPRO_AUTO_TRAJECTORY"
-
-#: opt-in flag: when set (non-empty), the dispatcher appends its own
-#: observed timing after each run to the trajectory file, so dispatch
-#: improves online without anyone re-running the benchmarks.
-RECORD_ENV_VAR = "REPRO_AUTO_RECORD"
-
-#: the name online observation rows are recorded under (the dispatcher
-#: has no benchmark registry to name the workload from).
-OBSERVED_NAME = "auto-observed"
 
 #: delivery rounds assumed when the image's comms schedule cannot be
 #: recognised (hand-built test images; the pipeline's generated programs
 #: all match :func:`estimate_delivery_rounds`'s loop pattern).
 NOMINAL_ROUNDS = 8
 
-#: backends the dispatcher considers (tiled joins when it can actually
-#: shard and fork).
-_SERIAL_CANDIDATES = ("reference", "vectorized", "compiled")
-
-
-def _trajectory_path() -> Path:
-    override = os.environ.get(TRAJECTORY_ENV_VAR)
-    if override:
-        return Path(override)
-    local = Path.cwd() / "BENCH_simulator.json"
-    if local.exists():
-        return local
-    return Path(__file__).resolve().parents[4] / "BENCH_simulator.json"
-
-
-def load_recorded_rows(path: Path | None = None) -> list[dict]:
-    """The recorded trajectory rows, or ``[]`` when none are available.
-
-    A missing, unreadable or stale-schema trajectory must never break a
-    simulation — the dispatcher just falls back to the analytic model.
-    """
-    from repro.eval.trajectory import read_trajectory
-
-    try:
-        return read_trajectory(path if path is not None else _trajectory_path())
-    except Exception:
-        return []
+#: backends the dispatcher ranks.
+CANDIDATES = ("reference", "vectorized", "compiled")
 
 
 def _walk_ops(op):
@@ -175,145 +128,63 @@ def estimate_delivery_rounds(image) -> int:
     return NOMINAL_ROUNDS
 
 
-def choose_block_depth(
-    executor: str,
-    width: int,
-    height: int,
-    rounds: int,
-    cpus: int | None = None,
-) -> int:
+def choose_block_depth(executor: str, rounds: int) -> int:
     """The temporal block depth R the dispatcher asks its delegate for.
 
     ``compiled`` blocks whenever the loop is long enough to fill a block:
     whole-grid blocking fuses R rounds per Python crossing at zero extra
     compute, so the largest supported depth not exceeding the loop wins.
-    ``tiled`` additionally pays margin recompute and full-grid bank
-    copies per block, so it only blocks when its shards are wide relative
-    to the deep halo (the margin's share of the extended window stays
-    small).  The reference/vectorized backends do not block.
+    The reference/vectorized backends do not block.
     """
     if executor == "compiled":
         for depth in (4, 2):
             if rounds >= depth:
                 return depth
-        return 1
-    if executor == "tiled":
-        kx, ky = shard_grid(width, height, cpus)
-        side = min(width // kx, height // ky)
-        for depth in (4, 2):
-            if rounds >= 2 * depth and side >= 16 * depth:
-                return depth
-        return 1
     return 1
 
 
-class BackendSelector:
-    """Ranks execution backends for a workload: records first, model second."""
+def choose_backend(
+    width: int,
+    height: int,
+    depth: int,
+    rounds: int = NOMINAL_ROUNDS,
+) -> tuple[str, str]:
+    """The backend the host cost model prices cheapest, and why."""
+    from repro.wse.perf_model import predict_host_seconds
 
-    def __init__(self, records: list[dict] | None = None, cpus: int | None = None):
-        self.records = (
-            records if records is not None else load_recorded_rows()
+    predicted = {
+        name: predict_host_seconds(
+            name, pes=width * height, depth=depth, rounds=rounds
         )
-        self.cpus = cpus if cpus is not None else usable_cpu_count()
+        for name in CANDIDATES
+    }
+    ranked = sorted(predicted, key=predicted.__getitem__)
+    ranking = ", ".join(f"{name}={predicted[name]:.4g}s" for name in ranked)
+    rationale = (
+        f"{ranked[0]} predicted fastest for {width}x{height} "
+        f"(depth {depth}, {rounds} rounds) by the host cost model: {ranking}"
+    )
+    return ranked[0], rationale
 
-    def candidates(self, width: int, height: int) -> tuple[str, ...]:
-        kx, ky = shard_grid(width, height, self.cpus)
-        if self.cpus >= 2 and kx * ky > 1:
-            return _SERIAL_CANDIDATES + ("tiled",)
-        return _SERIAL_CANDIDATES
 
-    def _recorded_seconds(
-        self, executor: str, width: int, height: int
-    ) -> tuple[float, str] | None:
-        """Best recorded seconds for this backend, exact grid or scaled.
+def decide(image, plan) -> tuple[str, int, str]:
+    """What ``auto`` runs for one image and plan: ``(backend, R, why)``.
 
-        Warm-cache rows are preferred over cold (steady-state dispatch
-        should not price one-time kernel generation the store has already
-        amortised fleet-wide).
-        """
-        rows = [row for row in self.records if row["executor"] == executor]
-        if not rows:
-            return None
-
-        def preferred(candidates: list[dict]) -> dict:
-            warm = [row for row in candidates if row.get("cache") == "warm"]
-            pool = warm or candidates
-            return min(pool, key=lambda row: row["seconds"])
-
-        grid = f"{width}x{height}"
-        exact = [row for row in rows if row["grid"] == grid]
-        if exact:
-            row = preferred(exact)
-            return float(row["seconds"]), f"recorded on {grid}"
-
-        pes = width * height
-
-        def row_pes(row: dict) -> int:
-            w, _, h = row["grid"].partition("x")
-            return int(w) * int(h)
-
-        nearest = preferred(
-            sorted(
-                rows,
-                key=lambda row: abs(
-                    math.log(max(1, row_pes(row))) - math.log(max(1, pes))
-                ),
-            )[:1]
+    ``REPRO_AUTO_BACKEND`` forces the backend; ``REPRO_FUSION_ROUNDS``,
+    when set, leaves R to the delegate (reported here as 1).
+    """
+    rounds = estimate_delivery_rounds(image)
+    forced = os.environ.get(FORCE_ENV_VAR, "").strip()
+    if forced:
+        choice, rationale = forced, f"forced by {FORCE_ENV_VAR}={forced}"
+    else:
+        depth = max(plan.buffers.values(), default=1)
+        choice, rationale = choose_backend(
+            plan.width, plan.height, depth, rounds
         )
-        scale = pes / max(1, row_pes(nearest))
-        return (
-            float(nearest["seconds"]) * scale,
-            f"scaled from recorded {nearest['grid']}",
-        )
-
-    def predict(
-        self,
-        executor: str,
-        width: int,
-        height: int,
-        depth: int,
-        rounds: int = NOMINAL_ROUNDS,
-    ) -> tuple[float, str]:
-        """Predicted host seconds and the basis of the prediction."""
-        from repro.wse.perf_model import predict_host_seconds
-
-        recorded = self._recorded_seconds(executor, width, height)
-        if recorded is not None:
-            return recorded
-        kx, ky = shard_grid(width, height, self.cpus)
-        seconds = predict_host_seconds(
-            executor,
-            pes=width * height,
-            depth=depth,
-            rounds=rounds,
-            cpus=self.cpus,
-            shards=kx * ky,
-        )
-        return seconds, "host cost model"
-
-    def choose(
-        self,
-        width: int,
-        height: int,
-        depth: int,
-        rounds: int = NOMINAL_ROUNDS,
-    ) -> tuple[str, str]:
-        """The chosen backend name and a human-readable rationale."""
-        scored = {
-            name: self.predict(name, width, height, depth, rounds)
-            for name in self.candidates(width, height)
-        }
-        best = min(scored, key=lambda name: scored[name][0])
-        seconds, basis = scored[best]
-        ranking = ", ".join(
-            f"{name}={scored[name][0]:.4g}s"
-            for name in sorted(scored, key=lambda name: scored[name][0])
-        )
-        rationale = (
-            f"{best} predicted fastest for {width}x{height} "
-            f"(depth {depth}, {self.cpus} cpus) via {basis}: {ranking}"
-        )
-        return best, rationale
+    if os.environ.get(FUSION_ENV_VAR):
+        return choice, 1, rationale
+    return choice, choose_block_depth(choice, rounds), rationale
 
 
 @register_executor
@@ -328,29 +199,11 @@ class AutoExecutor(Executor):
         self._delegate: Executor | None = None
         self._own_statistics = SimulationStatistics()
         super().__init__(image, width, height, plan, kernel_store)
-        rounds = estimate_delivery_rounds(image)
-        forced = os.environ.get(FORCE_ENV_VAR, "").strip()
-        if forced:
-            choice = forced
-            rationale = f"forced by {FORCE_ENV_VAR}={forced}"
-        else:
-            selector = BackendSelector()
-            depth = max(self.plan.buffers.values(), default=1)
-            choice, rationale = selector.choose(
-                width, height, depth, rounds=rounds
-            )
+        choice, block_depth, rationale = decide(image, self.plan)
         delegate_cls = executor_by_name(choice)
-        kwargs = {}
         #: the temporal block depth priced for this workload (1 = unblocked).
-        self.block_depth = 1
-        if choice in ("compiled", "tiled") and not os.environ.get(
-            FUSION_ENV_VAR
-        ):
-            # The env override stays authoritative when present; otherwise
-            # the dispatcher prices R from the estimated round count.
-            self.block_depth = choose_block_depth(choice, width, height, rounds)
-            if self.block_depth > 1:
-                kwargs["rounds_per_block"] = self.block_depth
+        self.block_depth = block_depth
+        kwargs = {"rounds_per_block": block_depth} if block_depth > 1 else {}
         self._delegate = delegate_cls(
             image, width, height, self.plan, kernel_store=kernel_store,
             **kwargs,
@@ -404,38 +257,9 @@ class AutoExecutor(Executor):
         self._delegate.launch(entry)
 
     def run(self, max_rounds: int = 1_000_000) -> SimulationStatistics:
-        rounds_before = self._delegate.statistics.rounds
-        started = time.perf_counter()
         statistics = self._delegate.run(max_rounds)
-        elapsed = time.perf_counter() - started
         self._stamp()
-        if os.environ.get(RECORD_ENV_VAR) and statistics.rounds > rounds_before:
-            self._record_observation(elapsed)
         return statistics
-
-    def _record_observation(self, seconds: float) -> None:
-        """Append this run's observed timing to the trajectory (opt-in).
-
-        One row per (workload, grid, backend, day): reruns the same day
-        replace their row, so the file stays bounded while the recorded
-        corpus still tracks host drift.  Recording must never break a
-        simulation — any failure is swallowed.
-        """
-        from repro.eval.trajectory import make_record, merge_trajectory
-
-        try:
-            record = make_record(
-                OBSERVED_NAME,
-                f"{self.width}x{self.height}",
-                self.backend_name,
-                seconds,
-                1.0,
-                r=self.block_depth if self.block_depth > 1 else None,
-                day=time.strftime("%Y-%m-%d"),
-            )
-            merge_trajectory(_trajectory_path(), [record])
-        except Exception:
-            pass
 
     # -- unused base hooks (the delegate drives its own rounds) ---------- #
 

@@ -16,8 +16,8 @@ from __future__ import annotations
 
 import os
 from abc import ABC, abstractmethod
-from dataclasses import dataclass, field, fields
-from typing import TYPE_CHECKING, ClassVar, Iterable
+from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -50,16 +50,9 @@ class SimulationStatistics:
     dsd_elements: int = 0
     wavelets_sent: int = 0
     max_pe_memory_bytes: int = 0
-    #: host-side synchronisation costs of partitioned execution (the tiled
-    #: backend's publication spin-wait and round barrier).  Real work, but
-    #: backend-specific: excluded from equality so cross-backend statistics
-    #: comparisons stay meaningful; still summed by :meth:`merge`.
-    seam_spins: int = field(default=0, compare=False)
-    seam_backoffs: int = field(default=0, compare=False)
-    barrier_waits: int = field(default=0, compare=False)
     #: which backend the ``auto`` dispatcher delegated to, and why.  Not
-    #: activity counters: excluded from equality (cross-backend statistics
-    #: comparisons stay meaningful) and from :meth:`merge`.
+    #: activity counters: excluded from equality so cross-backend
+    #: statistics comparisons stay meaningful.
     backend_decision: str = field(default="", compare=False)
     backend_rationale: str = field(default="", compare=False)
     #: delivery rounds fused per kernel invocation (temporal blocking);
@@ -69,47 +62,6 @@ class SimulationStatistics:
     #: empty on interpreting backends) and why native did not.
     kernel_tier: str = field(default="", compare=False)
     native_fallback_reason: str = field(default="", compare=False)
-
-    #: descriptive fields :meth:`merge` must not fold.
-    _METADATA_FIELDS: ClassVar[frozenset[str]] = frozenset(
-        {
-            "backend_decision",
-            "backend_rationale",
-            "block_depth",
-            "kernel_tier",
-            "native_fallback_reason",
-        }
-    )
-
-    @classmethod
-    def merge(
-        cls, parts: "Iterable[SimulationStatistics]"
-    ) -> "SimulationStatistics":
-        """Fold several statistics into one: counters sum, peak memory maxes.
-
-        This is the aggregation rule for partitioned execution — the tiled
-        backend merges its per-shard statistics with it — and for any host
-        rolling several runs up into one report.  ``max_pe_memory_bytes`` is
-        a per-PE peak, not activity, so it takes the maximum; metadata
-        fields pass through from the first part carrying them.
-        """
-        merged = cls()
-        for part in parts:
-            for spec in fields(cls):
-                if spec.name in cls._METADATA_FIELDS:
-                    if not getattr(merged, spec.name):
-                        setattr(merged, spec.name, getattr(part, spec.name))
-                elif spec.name == "max_pe_memory_bytes":
-                    merged.max_pe_memory_bytes = max(
-                        merged.max_pe_memory_bytes, part.max_pe_memory_bytes
-                    )
-                else:
-                    setattr(
-                        merged,
-                        spec.name,
-                        getattr(merged, spec.name) + getattr(part, spec.name),
-                    )
-        return merged
 
 
 def missing_field_error(name: str, available, coords: tuple[int, int]) -> KeyError:
@@ -217,8 +169,7 @@ class Executor(ABC):
         """Run delivery rounds until every PE has halted.
 
         Without a :meth:`launch` since the last run there is nothing to
-        drive: the statistics are returned unchanged (re-collecting would
-        double-fold the cumulative per-PE counters).  The guard lives here
+        drive: the statistics are returned unchanged.  The guard lives here
         so the no-op semantics are identical on every backend; backends
         with their own round scheduling override :meth:`_run_rounds`.
         """
@@ -268,7 +219,9 @@ class Executor(ABC):
 
     @abstractmethod
     def _collect_statistics(self) -> None:
-        """Fold per-PE activity into :attr:`statistics`."""
+        """Set the :attr:`statistics` counters to the per-PE totals since
+        construction (the per-PE counters are cumulative, so a relaunch
+        must not add them a second time)."""
 
 
 # --------------------------------------------------------------------------- #

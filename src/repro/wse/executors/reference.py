@@ -18,7 +18,7 @@ from repro.wse.executors.base import (
     register_executor,
 )
 from repro.wse.interpreter import PeInterpreter, ProgramImage
-from repro.wse.pe import ProcessingElement
+from repro.wse.pe import PE_COUNTER_NAMES, ProcessingElement
 from repro.wse.runtime import CommsRuntime
 
 
@@ -103,13 +103,7 @@ class ReferenceExecutor(Executor):
 
     def _collect_statistics(self) -> None:
         stats = self.statistics
-        for row in self._grid:
-            for pe in row:
-                stats.tasks_run += pe.counters["tasks_run"]
-                stats.exchanges += pe.counters["exchanges"]
-                stats.dsd_ops += pe.counters["dsd_ops"]
-                stats.dsd_elements += pe.counters["dsd_elements"]
-                stats.wavelets_sent += pe.counters["wavelets_sent"]
-                stats.max_pe_memory_bytes = max(
-                    stats.max_pe_memory_bytes, pe.memory_in_use()
-                )
+        pes = [pe for row in self._grid for pe in row]
+        for name in PE_COUNTER_NAMES:
+            setattr(stats, name, sum(pe.counters[name] for pe in pes))
+        stats.max_pe_memory_bytes = max(pe.memory_in_use() for pe in pes)

@@ -42,7 +42,12 @@ from repro.wse.executors.base import (
     register_executor,
 )
 from repro.wse.interpreter import PeInterpreter, ProgramImage
-from repro.wse.pe import ActivatedTask, PendingExchange, new_pe_counters
+from repro.wse.pe import (
+    PE_COUNTER_NAMES,
+    ActivatedTask,
+    PendingExchange,
+    new_pe_counters,
+)
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.wse.plan import ExecutionPlan
@@ -104,11 +109,11 @@ class LockstepInterpreter(PeInterpreter):
 # --------------------------------------------------------------------------- #
 # The two-phase exchange over batched (rows, cols, z) buffers
 #
-# One authoritative implementation shared by every lockstep-shaped backend:
-# the vectorized executor runs it over the whole grid, the tiled executor's
-# shard runners over their sub-rectangles (with a barrier between the
-# phases).  Bit-identical per-element behaviour across backends depends on
-# these two functions being the single source of the exchange semantics.
+# The interpreted exchange of the vectorized executor (and of ``compiled``
+# when it falls back to interpretation): phase 1 stages every chunk before
+# phase 2 lets any callback write, exactly as the per-PE reference runtime
+# orders them.  The generated kernels of :mod:`repro.wse.codegen` unroll
+# the same two phases.
 # --------------------------------------------------------------------------- #
 
 
@@ -294,15 +299,9 @@ class VectorizedExecutor(Executor):
     def _collect_statistics(self) -> None:
         stats = self.statistics
         num_pes = self.width * self.height
-        counters = self.state.counters
-        stats.tasks_run += counters["tasks_run"] * num_pes
-        stats.exchanges += counters["exchanges"] * num_pes
-        stats.dsd_ops += counters["dsd_ops"] * num_pes
-        stats.dsd_elements += counters["dsd_elements"] * num_pes
-        stats.wavelets_sent += counters["wavelets_sent"] * num_pes
-        stats.max_pe_memory_bytes = max(
-            stats.max_pe_memory_bytes, self.state.memory_in_use()
-        )
+        for name in PE_COUNTER_NAMES:
+            setattr(stats, name, self.state.counters[name] * num_pes)
+        stats.max_pe_memory_bytes = self.state.memory_in_use()
 
 
 class _PeView:

@@ -10,8 +10,8 @@ import numpy as np
 
 
 #: the per-PE activity counters every execution backend maintains; shared
-#: so the lockstep/sharded state mirrors and the statistics folding can
-#: never drift out of sync with the reference per-PE state.
+#: so the lockstep state mirror and the statistics folding can never drift
+#: out of sync with the reference per-PE state.
 PE_COUNTER_NAMES = (
     "tasks_run",
     "exchanges",

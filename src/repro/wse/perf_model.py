@@ -209,14 +209,6 @@ _HOST_MODEL = {
     "compiled": (1.1e-3, 8e-6, 0.0, 3e-9),
 }
 
-#: tiled-specific coefficients: fork/pool setup per shard, per-round
-#: barrier + seam cost per shard, and the element work parallelised over
-#: ``min(shards, cpus)`` workers.
-_TILED_SETUP = 3e-3
-_TILED_PER_SHARD_SETUP = 1.5e-3
-_TILED_PER_SHARD_ROUND = 150e-6
-_TILED_PER_ELEMENT_ROUND = 6e-9
-
 
 def predict_host_seconds(
     executor: str,
@@ -224,30 +216,16 @@ def predict_host_seconds(
     pes: int,
     depth: int,
     rounds: int,
-    cpus: int = 1,
-    shards: int = 1,
 ) -> float:
     """Predicted *host* wall-clock seconds for one run on one backend.
 
     This is not the WSE cycle model above — it prices the simulator
     backends themselves, so the ``auto`` dispatcher can rank them for a
     workload before running it.  ``pes`` is the fabric PE count, ``depth``
-    the per-PE column length (elements = pes * depth), ``rounds`` the
-    expected delivery rounds, and for ``tiled`` the shard count and usable
-    CPUs bound the parallel speedup.
+    the per-PE column length (elements = pes * depth) and ``rounds`` the
+    expected delivery rounds.
     """
     elements = pes * depth
-    if executor == "tiled":
-        workers = max(1, min(shards, cpus))
-        return (
-            _TILED_SETUP
-            + _TILED_PER_SHARD_SETUP * shards
-            + rounds
-            * (
-                _TILED_PER_SHARD_ROUND * shards
-                + _TILED_PER_ELEMENT_ROUND * elements / workers
-            )
-        )
     try:
         setup, per_round, per_pe, per_element = _HOST_MODEL[executor]
     except KeyError:

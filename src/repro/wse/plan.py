@@ -25,15 +25,14 @@ that out of the hot loop, once, ahead of execution:
 
 The plan is *backend-neutral*: the ``reference`` executor reads per-PE
 neighbour coordinates out of the same tables the ``vectorized`` executor
-turns into whole-grid fancy-index gathers and the ``tiled`` executor
-restricts to its shard boxes.  Plans are deterministic — compiling the same
-image twice yields equal plans — and versioned (:data:`PLAN_VERSION`), so
-run-level artifact fingerprints can fold the planning semantics in.
+turns into whole-grid fancy-index gathers and the ``compiled`` executor
+bakes into its generated kernel.  Plans are deterministic — compiling the
+same image twice yields equal plans — and versioned (:data:`PLAN_VERSION`),
+so run-level artifact fingerprints can fold the planning semantics in.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable
 
@@ -146,378 +145,12 @@ def build_halo_table(
     )
 
 
-@dataclass(frozen=True)
-class ShardGeometry:
-    """A ``kx x ky`` rectangular decomposition of the fabric into shards.
-
-    ``col_edges``/``row_edges`` are the stripe/band boundaries: shard
-    ``(i, j)`` owns columns ``[col_edges[i], col_edges[i+1])`` and rows
-    ``[row_edges[j], row_edges[j+1])``.  Bands are nearly equal — the first
-    ``extent % k`` bands are one wider — matching the historical tiled
-    decomposition.  The geometry is the shared vocabulary between the plan
-    (seam publication sets), the codegen (shard-box kernels) and the tiled
-    executor (worker pool layout), so it canonicalises for fingerprints.
-    """
-
-    row_edges: tuple[int, ...]
-    col_edges: tuple[int, ...]
-
-    @staticmethod
-    def _edges(extent: int, k: int) -> tuple[int, ...]:
-        base, remainder = divmod(extent, k)
-        edges = [0]
-        for i in range(k):
-            edges.append(edges[-1] + base + (1 if i < remainder else 0))
-        return tuple(edges)
-
-    @classmethod
-    def build(cls, width: int, height: int, kx: int, ky: int) -> "ShardGeometry":
-        if not (1 <= kx <= width and 1 <= ky <= height):
-            raise ValueError(
-                f"shard grid {kx}x{ky} does not fit a {width}x{height} fabric"
-            )
-        return cls(row_edges=cls._edges(height, ky), col_edges=cls._edges(width, kx))
-
-    @property
-    def kx(self) -> int:
-        return len(self.col_edges) - 1
-
-    @property
-    def ky(self) -> int:
-        return len(self.row_edges) - 1
-
-    def band_of(self, row: int) -> int:
-        """The index of the row band containing fabric row ``row``."""
-        return bisect_right(self.row_edges, row) - 1
-
-    def stripe_of(self, col: int) -> int:
-        """The index of the column stripe containing fabric column ``col``."""
-        return bisect_right(self.col_edges, col) - 1
-
-    def boxes(self) -> tuple[tuple[int, int, int, int], ...]:
-        """All shard boxes ``(y0, y1, x0, x1)``, row-major (bands outer)."""
-        return tuple(
-            (self.row_edges[j], self.row_edges[j + 1],
-             self.col_edges[i], self.col_edges[i + 1])
-            for j in range(self.ky)
-            for i in range(self.kx)
-        )
-
-    def canonical(self) -> dict:
-        return {"row_edges": list(self.row_edges), "col_edges": list(self.col_edges)}
-
-
-def seam_publication(
-    plan: "ExecutionPlan", geometry: ShardGeometry
-) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """The fabric rows/columns shards must publish into seam snapshots.
-
-    A row ``r`` is published when some halo direction makes a destination
-    row in a *different* band read from ``r`` — under periodic folds that
-    can be a far edge, not just a band neighbour.  Columns likewise for
-    stripes.  The result is sorted, so the publication slot of a row/column
-    is its index here; every shard-box kernel agrees on the layout.
-    """
-    pub_rows: set[int] = set()
-    pub_cols: set[int] = set()
-    for table in plan.halo_tables.values():
-        for y, src in enumerate(table.rows):
-            if src is not None and geometry.band_of(y) != geometry.band_of(src):
-                pub_rows.add(src)
-        for x, src in enumerate(table.cols):
-            if src is not None and geometry.stripe_of(x) != geometry.stripe_of(src):
-                pub_cols.add(src)
-    return tuple(sorted(pub_rows)), tuple(sorted(pub_cols))
-
-
-class BlockHaloError(ValueError):
-    """A depth-R halo block cannot be derived exactly for this shard."""
-
-
-def exchange_radius(plan: "ExecutionPlan") -> tuple[int, int]:
-    """``(ry, rx)``: the per-axis halo radius of the plan's exchanges."""
-    ry = max((abs(dy) for _, dy in plan.halo_tables), default=0)
-    rx = max((abs(dx) for dx, _ in plan.halo_tables), default=0)
-    return ry, rx
-
-
-def _window_map(
-    boundary: BoundaryCondition, lo: int, hi: int, margin: int, extent: int
-) -> tuple[int | None, ...]:
-    """Fabric index of every cell of an extended window, ``None`` off-fabric.
-
-    The window covers virtual positions ``[lo - margin, hi + margin)``;
-    :meth:`BoundaryCondition.fold` resolves each to the real fabric cell it
-    mirrors/wraps to (``None`` under Dirichlet).  Seeding window cell ``i``
-    with the value of fabric cell ``map[i]`` is exact by definition of the
-    boundary fold — this is the base case of the block-validity recursion.
-    """
-    return tuple(
-        boundary.fold(lo - margin + i, extent)
-        for i in range(hi - lo + 2 * margin)
-    )
-
-
-def _deep_axis_table(
-    window: tuple[int | None, ...],
-    boundary: BoundaryCondition,
-    delta: int,
-    extent: int,
-) -> tuple[tuple[int | None, ...], tuple[bool, ...]]:
-    """One axis of a depth-R staging table over an extended window.
-
-    For window cell ``i`` standing in for fabric cell ``p = window[i]``, a
-    pull along ``delta`` must read the value of fabric cell
-    ``fold(p + delta)`` — the *fold-composed* source, not the naive shifted
-    window position (under ``reflect`` the two differ near the mirror
-    edge).  Among the window cells holding that fabric cell, the one
-    nearest the naive position is chosen so interior runs stay contiguous.
-    Returns ``(sources, missing)``: ``sources[i]`` is the window source
-    index or ``None`` (Dirichlet fill), and ``missing[i]`` flags cells
-    whose required fabric source is absent from the window entirely —
-    reading them is only legal while they stay outside the valid region.
-    Under periodic/reflect a missing cell self-sources instead (any finite
-    value is fine for a cell the validity recursion already excludes), so
-    those tables stay fully gatherable; under Dirichlet ``None`` is kept —
-    the fill path treats it as the boundary constant, equally unread.
-    """
-    candidates: dict[int, list[int]] = {}
-    for j, real in enumerate(window):
-        if real is not None:
-            candidates.setdefault(real, []).append(j)
-    sources: list[int | None] = []
-    missing: list[bool] = []
-    for i, real in enumerate(window):
-        if real is None:  # dead Dirichlet cell: never a source, value unused
-            sources.append(None)
-            missing.append(False)
-            continue
-        target = boundary.fold(real + delta, extent)
-        if target is None:  # a true boundary fill, exact at any depth
-            sources.append(None)
-            missing.append(False)
-            continue
-        pool = candidates.get(target)
-        if not pool:
-            sources.append(None if boundary.kind == "dirichlet" else i)
-            missing.append(True)
-            continue
-        naive = i + delta
-        sources.append(min(pool, key=lambda j: (abs(j - naive), j)))
-        missing.append(False)
-    return tuple(sources), tuple(missing)
-
-
-def _axis_validity(
-    window: tuple[int | None, ...],
-    tables: dict[int, tuple[tuple[int | None, ...], tuple[bool, ...]]],
-    rounds: int,
-) -> list[bool]:
-    """Which window cells still hold exact values after ``rounds`` rounds.
-
-    Round 0 is the gather-in: every in-fabric cell is exact.  Each round a
-    cell stays exact only if it was exact and every per-delta source it
-    reads is exact (a ``None`` source is the boundary constant — exact —
-    unless the source was *missing* from the window).  The valid region
-    shrinks inward by the axis radius per round; the block is usable when
-    the core survives all ``rounds``.
-    """
-    valid = [real is not None for real in window]
-    for _ in range(rounds):
-        step = []
-        for i in range(len(window)):
-            ok = valid[i]
-            if ok:
-                for sources, missing in tables.values():
-                    if missing[i]:
-                        ok = False
-                        break
-                    src = sources[i]
-                    if src is not None and not valid[src]:
-                        ok = False
-                        break
-            step.append(ok)
-        valid = step
-    return valid
-
-
-class BlockHaloSpec:
-    """Depth-R halo tables for one shard box: the plan surface a temporal
-    block kernel stages its exchanges through.
-
-    The shard's arrays are extended by ``rounds * radius`` cells per axis;
-    ``row_map``/``col_map`` give the fabric cell each extended cell stands
-    in for (``None`` = off-fabric under Dirichlet), and :meth:`halo_table`
-    serves fold-composed gather/fill tables in *extended* coordinates so
-    the unmodified kernel emitter stages deep halos exactly.  Construction
-    verifies, by the per-axis validity recursion, that the core rows and
-    columns stay exact through all ``rounds`` — raising
-    :class:`BlockHaloError` otherwise (callers then fall back to R=1).
-    """
-
-    def __init__(
-        self,
-        plan: "ExecutionPlan",
-        box: tuple[int, int, int, int],
-        rounds: int,
-    ):
-        if rounds < 2:
-            raise BlockHaloError(f"temporal blocks need rounds >= 2, got {rounds}")
-        self.plan = plan
-        self.box = box
-        self.rounds = rounds
-        y0, y1, x0, x1 = box
-        ry, rx = exchange_radius(plan)
-        self.margin_y = rounds * ry
-        self.margin_x = rounds * rx
-        boundary = plan.boundary
-        self.row_map = _window_map(boundary, y0, y1, self.margin_y, plan.height)
-        self.col_map = _window_map(boundary, x0, x1, self.margin_x, plan.width)
-        self.height = len(self.row_map)
-        self.width = len(self.col_map)
-        row_tables: dict[int, tuple] = {}
-        col_tables: dict[int, tuple] = {}
-        for dx, dy in plan.halo_tables:
-            if dy not in row_tables:
-                row_tables[dy] = _deep_axis_table(
-                    self.row_map, boundary, dy, plan.height
-                )
-            if dx not in col_tables:
-                col_tables[dx] = _deep_axis_table(
-                    self.col_map, boundary, dx, plan.width
-                )
-        self._row_tables = row_tables
-        self._col_tables = col_tables
-        self._check_core_validity()
-        self.tables: dict[tuple[int, int], HaloTable] = {
-            (dx, dy): HaloTable(
-                direction=(dx, dy),
-                rows=row_tables[dy][0],
-                cols=col_tables[dx][0],
-                fill_value=plan.halo_tables[(dx, dy)].fill_value,
-            )
-            for dx, dy in plan.halo_tables
-        }
-
-    def _check_core_validity(self) -> None:
-        y0, y1, x0, x1 = self.box
-        for name, window, tables, margin, extent in (
-            ("rows", self.row_map, self._row_tables, self.margin_y, y1 - y0),
-            ("cols", self.col_map, self._col_tables, self.margin_x, x1 - x0),
-        ):
-            valid = _axis_validity(window, tables, self.rounds)
-            if not all(valid[margin : margin + extent]):
-                raise BlockHaloError(
-                    f"core {name} of shard box {self.box} lose exactness "
-                    f"within {self.rounds} rounds (margin {margin} too thin "
-                    f"for this boundary fold)"
-                )
-
-    def gather_maps(self) -> tuple[np.ndarray, np.ndarray]:
-        """Broadcast-ready fabric indices seeding the extended arrays.
-
-        Dead (off-fabric Dirichlet) cells substitute fabric index 0 — their
-        seeded values are never read by any valid cell, and a deterministic
-        substitute keeps the gather reproducible.
-        """
-        rows = [0 if real is None else real for real in self.row_map]
-        cols = [0 if real is None else real for real in self.col_map]
-        return (
-            np.asarray(rows, dtype=np.intp)[:, None],
-            np.asarray(cols, dtype=np.intp)[None, :],
-        )
-
-    def core_slices(self) -> tuple[slice, slice]:
-        """The core rows/cols of the extended arrays (the shard box)."""
-        y0, y1, x0, x1 = self.box
-        return (
-            slice(self.margin_y, self.margin_y + (y1 - y0)),
-            slice(self.margin_x, self.margin_x + (x1 - x0)),
-        )
-
-
-class BlockPlanView:
-    """An :class:`ExecutionPlan` facade over one shard's extended window.
-
-    Presents the extended dimensions and the depth-R fold-composed halo
-    tables of a :class:`BlockHaloSpec` while delegating everything else
-    (program structure, DSD tables, exchange schedules) to the base plan —
-    the kernel emitter then generates a temporal-block shard kernel through
-    its ordinary whole-grid path, no shard-specific emission required.
-    """
-
-    def __init__(self, spec: BlockHaloSpec):
-        self.spec = spec
-        base = spec.plan
-        self.base = base
-        self.width = spec.width
-        self.height = spec.height
-        self.boundary = base.boundary
-        self.entry = base.entry
-        self.buffers = base.buffers
-        self.variables = base.variables
-        self.activation_order = base.activation_order
-        self.halo_tables = dict(spec.tables)
-        self._gather_cache: dict[
-            tuple[int, int], tuple[np.ndarray, np.ndarray] | None
-        ] = {}
-
-    def static_dsd(self, op: Operation) -> Dsd | None:
-        return self.base.static_dsd(op)
-
-    def exchange_plan(self, op: Operation) -> ExchangePlan | None:
-        return self.base.exchange_plan(op)
-
-    def halo_table(self, direction: tuple[int, int]) -> HaloTable:
-        key = (direction[0], direction[1])
-        table = self.halo_tables.get(key)
-        if table is None:
-            raise KeyError(
-                f"direction {key} has no depth-{self.spec.rounds} halo table"
-            )
-        return table
-
-    def gather_indices(
-        self, direction: tuple[int, int]
-    ) -> tuple[np.ndarray, np.ndarray] | None:
-        key = (direction[0], direction[1])
-        if key not in self._gather_cache:
-            table = self.halo_table(key)
-            if table.gatherable:
-                self._gather_cache[key] = (
-                    np.asarray(table.rows, dtype=np.intp)[:, None],
-                    np.asarray(table.cols, dtype=np.intp)[None, :],
-                )
-            else:
-                self._gather_cache[key] = None
-        return self._gather_cache[key]
-
-    def memory_per_pe_bytes(self) -> int:
-        return self.base.memory_per_pe_bytes()
-
-    def canonical(self) -> dict:
-        """The base plan's canonical form plus the block parameters.
-
-        The deep tables are a pure function of (base plan, box, rounds), so
-        fingerprinting those three identifies the kernel exactly — each
-        (plan, box, R) variant caches once fleet-wide.
-        """
-        return {
-            "base": self.base.canonical(),
-            "block": {
-                "box": list(self.spec.box),
-                "rounds": self.spec.rounds,
-                "margin": [self.spec.margin_y, self.spec.margin_x],
-            },
-        }
-
-
 class ExecutionPlan:
     """Everything an executor needs to replay one compiled program image.
 
     Built once per simulation by :func:`ExecutionPlan.compile`; the
-    executors only *read* it (several may share one plan — the tiled
-    backend's forked shard workers do).
+    executors only *read* it (several may share one plan — ``auto`` and
+    its delegate do).
     """
 
     def __init__(

@@ -25,7 +25,7 @@ from repro.service.run import RunService
 from repro.transforms.pipeline import PipelineOptions
 
 BENCHMARKS = ("Jacobian", "Diffusion", "UVKBE", "Advection")
-EXECUTORS = ("reference", "vectorized", "tiled", "compiled")
+EXECUTORS = ("reference", "vectorized", "compiled", "auto")
 
 fork_available = "fork" in multiprocessing.get_all_start_methods()
 

@@ -57,7 +57,7 @@ class TestRunFingerprints:
             program, options, "vectorized", 13, DEFAULT_MAX_ROUNDS
         )
         assert base != compute_run_fingerprint(
-            program, options, "tiled", 13, DEFAULT_MAX_ROUNDS
+            program, options, "compiled", 13, DEFAULT_MAX_ROUNDS
         ), "executor must change the run fingerprint"
         assert base != compute_run_fingerprint(
             program, options, "vectorized", 14, DEFAULT_MAX_ROUNDS
@@ -157,7 +157,7 @@ class TestRunService:
         program, options = _config(grid=4)
         digests = {}
         with RunService() as service:
-            for executor in ("reference", "vectorized", "tiled", "compiled"):
+            for executor in ("reference", "vectorized", "compiled", "auto"):
                 artifact = service.run(program, options, executor=executor)
                 digests[executor] = artifact.field_digests
             # Four distinct fingerprints (executor is a run input) ...
@@ -166,8 +166,8 @@ class TestRunService:
         assert (
             digests["reference"]
             == digests["vectorized"]
-            == digests["tiled"]
             == digests["compiled"]
+            == digests["auto"]
         )
 
     def test_compile_stage_is_shared_across_run_inputs(self):

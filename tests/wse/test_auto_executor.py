@@ -1,11 +1,12 @@
 """The ``auto`` dispatcher: decision table, calibration, delegation parity.
 
 The dispatcher's contract has three layers, each covered here: the
-*decision procedure* (recorded trajectory rows beat the analytic model,
-the model's ranking matches the machine-independent intuition), the
-*calibration* of the host cost model against a recorded trajectory
-snapshot, and the *delegation* (an ``auto`` run is indistinguishable from
-running the chosen backend directly, plus the stamped decision metadata).
+*decision procedure* (the host cost model's ranking matches the
+machine-independent intuition, and the benchmark's own workloads get the
+backend and block depth they always got), the *calibration* of the host
+cost model against a recorded trajectory snapshot, and the *delegation*
+(an ``auto`` run is indistinguishable from running the chosen backend
+directly, plus the stamped decision metadata).
 """
 
 from dataclasses import asdict
@@ -13,6 +14,7 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
+from repro.benchmarks import ALL_BENCHMARKS, seismic_benchmark, uvkbe_benchmark
 from repro.frontends.common import (
     Constant,
     FieldAccess,
@@ -22,14 +24,12 @@ from repro.frontends.common import (
 )
 from repro.tests_support import run_on_executor
 from repro.transforms.pipeline import PipelineOptions, compile_stencil_program
-from repro.wse.executors.auto import (
-    FORCE_ENV_VAR,
-    BackendSelector,
-    load_recorded_rows,
-)
+from repro.wse.codegen import FUSION_ENV_VAR
+from repro.wse.executors.auto import FORCE_ENV_VAR, choose_backend, decide
 from repro.wse.executors.base import SimulationStatistics
-from repro.wse.executors.tiled import SHARD_ENV_VAR
+from repro.wse.interpreter import ProgramImage
 from repro.wse.perf_model import predict_host_seconds
+from repro.wse.plan import ExecutionPlan
 from repro.wse.simulator import WseSimulator
 
 
@@ -87,7 +87,6 @@ RECORDED_SNAPSHOT = {
     ("64x64", 256, 48): {
         "vectorized": 0.282385,
         "compiled": 0.156278,
-        "tiled": 0.430783,
     },
     ("128x128", 64, 16): {
         "vectorized": 0.144028,
@@ -97,75 +96,61 @@ RECORDED_SNAPSHOT = {
 
 
 class TestDecisionTable:
-    def test_small_grid_on_one_cpu_avoids_tiled_and_reference(self, monkeypatch):
-        monkeypatch.delenv(SHARD_ENV_VAR, raising=False)
-        selector = BackendSelector(records=[], cpus=1)
-        assert "tiled" not in selector.candidates(8, 8)
-        choice, rationale = selector.choose(8, 8, depth=32)
+    def test_small_grid_prefers_vectorized(self):
+        choice, rationale = choose_backend(8, 8, depth=32)
         assert choice == "vectorized"
         assert "8x8" in rationale and "host cost model" in rationale
 
-    def test_single_pe_grid_prefers_the_reference_interpreter(self, monkeypatch):
-        monkeypatch.delenv(SHARD_ENV_VAR, raising=False)
-        selector = BackendSelector(records=[], cpus=1)
-        choice, _ = selector.choose(1, 1, depth=32)
+    def test_single_pe_grid_prefers_the_reference_interpreter(self):
+        choice, _ = choose_backend(1, 1, depth=32)
         assert choice == "reference"
 
-    def test_large_grid_on_one_cpu_prefers_compiled(self, monkeypatch):
-        monkeypatch.delenv(SHARD_ENV_VAR, raising=False)
-        selector = BackendSelector(records=[], cpus=1)
-        choice, _ = selector.choose(128, 128, depth=64)
+    def test_large_grid_prefers_compiled(self):
+        choice, _ = choose_backend(128, 128, depth=64)
         assert choice == "compiled"
 
-    def test_large_grid_with_many_cpus_prefers_tiled(self, monkeypatch):
-        monkeypatch.delenv(SHARD_ENV_VAR, raising=False)
-        selector = BackendSelector(records=[], cpus=16)
-        assert "tiled" in selector.candidates(256, 256)
-        choice, rationale = selector.choose(256, 256, depth=64)
-        assert choice == "tiled"
-        assert "tiled" in rationale
 
-    def test_recorded_rows_override_the_model(self):
-        records = [
-            {"name": "J", "grid": "8x8", "executor": "vectorized",
-             "seconds": 0.9, "speedup": 1.0},
-            {"name": "J", "grid": "8x8", "executor": "compiled",
-             "seconds": 0.1, "speedup": 9.0, "cache": "warm"},
-            {"name": "J", "grid": "8x8", "executor": "reference",
-             "seconds": 1.5, "speedup": 0.6},
-        ]
-        selector = BackendSelector(records=records, cpus=1)
-        choice, rationale = selector.choose(8, 8, depth=32)
-        assert choice == "compiled"
-        assert "recorded on 8x8" in rationale
+def _decision(config):
+    """``auto``'s (backend, R) for one benchmark-shaped program, decided
+    from its image and plan alone: no simulator is built or run."""
+    benchmark, nx, ny, nz, steps, options = config
+    program = benchmark.program(nx, ny, nz, steps)
+    result = compile_stencil_program(
+        program, PipelineOptions(grid_width=nx, grid_height=ny, **options)
+    )
+    image = ProgramImage(result.program_module)
+    plan = ExecutionPlan.compile(image, nx, ny)
+    choice, depth, _ = decide(image, plan)
+    return choice, depth
 
-    def test_warm_rows_beat_cold_rows_for_the_same_backend(self):
-        records = [
-            {"name": "J", "grid": "8x8", "executor": "compiled",
-             "seconds": 5.0, "speedup": 1.0, "cache": "cold"},
-            {"name": "J", "grid": "8x8", "executor": "compiled",
-             "seconds": 0.1, "speedup": 50.0, "cache": "warm"},
-        ]
-        selector = BackendSelector(records=records, cpus=1)
-        seconds, basis = selector._recorded_seconds("compiled", 8, 8)
-        assert seconds == 0.1
-        assert basis == "recorded on 8x8"
 
-    def test_near_miss_rows_scale_by_pe_count(self):
-        records = [
-            {"name": "J", "grid": "8x8", "executor": "vectorized",
-             "seconds": 0.064, "speedup": 1.0},
-        ]
-        selector = BackendSelector(records=records, cpus=1)
-        seconds, basis = selector._recorded_seconds("vectorized", 16, 16)
-        assert basis == "scaled from recorded 8x8"
-        assert seconds == pytest.approx(0.064 * (256 / 64))
+class TestBenchmarkWorkloadDecisions:
+    """The repo benchmark's three workload shapes keep their backends:
+    ``compiled`` R=4 on paper-size Seismic, ``compiled`` R=2 on
+    paper-size UVKBE and ``vectorized`` on every 8x8 sweep program."""
 
-    def test_missing_trajectory_degrades_to_the_model(self, monkeypatch, tmp_path):
-        monkeypatch.setenv(
-            "REPRO_AUTO_TRAJECTORY", str(tmp_path / "BENCH_absent.json")
-        )
-        assert load_recorded_rows() == []
+    @pytest.fixture(autouse=True)
+    def _unforced(self, monkeypatch):
+        monkeypatch.delenv(FORCE_ENV_VAR, raising=False)
+        monkeypatch.delenv(FUSION_ENV_VAR, raising=False)
+
+    def test_seismic_paper_small(self):
+        config = (seismic_benchmark, 100, 100, 450, 4, {})
+        assert _decision(config) == ("compiled", 4)
+
+    def test_uvkbe_paper_small(self):
+        config = (uvkbe_benchmark, 100, 100, 600, 1, {})
+        assert _decision(config) == ("compiled", 2)
+
+    @pytest.mark.parametrize("target", ("wse2", "wse3"))
+    @pytest.mark.parametrize("boundary", ("dirichlet", "periodic", "reflect"))
+    def test_sweep_programs(self, boundary, target):
+        for benchmark in ALL_BENCHMARKS:
+            config = (
+                benchmark, 8, 8, 32, 2,
+                {"target": target, "boundary": boundary},
+            )
+            assert _decision(config) == ("vectorized", 1), benchmark.name
 
 
 class TestCalibration:
@@ -185,10 +170,6 @@ class TestCalibration:
                 pes=pes,
                 depth=depth,
                 rounds=rounds,
-                # The recording host ran affinity-restricted to one CPU
-                # with the session's 2x2 shard override.
-                cpus=1,
-                shards=4,
             )
             for executor in recorded
         }
@@ -257,21 +238,9 @@ class TestDecisionMetadata:
         plain = SimulationStatistics(rounds=3)
         assert stamped == plain
 
-    def test_merge_passes_metadata_through_without_folding(self):
-        stamped = SimulationStatistics(
-            rounds=2, backend_decision="tiled", backend_rationale="fast"
-        )
-        other = SimulationStatistics(rounds=1, max_pe_memory_bytes=64)
-        merged = SimulationStatistics.merge([stamped, other])
-        assert merged.rounds == 3
-        assert merged.max_pe_memory_bytes == 64
-        assert merged.backend_decision == "tiled"
-        assert merged.backend_rationale == "fast"
-
     def test_metadata_reaches_the_serialised_artifact_shape(self):
         payload = asdict(
             SimulationStatistics(backend_decision="vectorized")
         )
         assert payload["backend_decision"] == "vectorized"
         assert "backend_rationale" in payload
-        assert "_METADATA_FIELDS" not in payload

@@ -25,7 +25,7 @@ from repro.tests_support import run_on_executor, simulate_against_reference
 from repro.transforms.pipeline import PipelineOptions, compile_stencil_program
 from repro.wse.simulator import WseSimulator
 
-EXECUTORS = ("reference", "vectorized", "tiled", "compiled", "auto")
+EXECUTORS = ("reference", "vectorized", "compiled", "auto")
 
 BOUNDARIES = (
     BoundaryCondition.dirichlet(),

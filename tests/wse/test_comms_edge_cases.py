@@ -26,7 +26,7 @@ from repro.tests_support import simulate_against_reference
 from repro.transforms.pipeline import PipelineOptions, compile_stencil_program
 from repro.wse.simulator import WseSimulator
 
-EXECUTORS = ("reference", "vectorized", "tiled", "compiled", "auto")
+EXECUTORS = ("reference", "vectorized", "compiled", "auto")
 
 
 def _star_program(nx, ny, nz, steps=1, name="edge"):

@@ -3,10 +3,14 @@
 Every derived executor must be indistinguishable from the per-PE reference
 interpreter: byte-identical ``read_field`` results and equal
 :class:`SimulationStatistics` on *all* registered benchmark programs — the
-paper's five kernels plus the boundary-condition workloads.  (Per-boundary-
-mode equivalence is pinned separately in ``test_boundary_conditions.py``.)
+paper's five kernels plus the boundary-condition workloads — and on a
+relaunch of an already-run simulator.  (Per-boundary-mode equivalence is
+pinned separately in ``test_boundary_conditions.py``.)
 """
 
+from dataclasses import replace
+
+import numpy as np
 import pytest
 
 from repro.benchmarks import benchmark_by_name
@@ -20,12 +24,14 @@ from repro.wse.executors import (
     executor_by_name,
 )
 from repro.wse.executors.reference import ReferenceExecutor
-from repro.wse.executors.tiled import TiledExecutor
 from repro.wse.executors.vectorized import VectorizedExecutor
 from repro.wse.simulator import WseSimulator
 
 #: every backend validated bit-for-bit against the reference interpreter.
-DERIVED_EXECUTORS = ("vectorized", "tiled", "compiled", "auto")
+DERIVED_EXECUTORS = ("vectorized", "compiled", "auto")
+
+#: every registered backend, the reference interpreter first.
+ALL_EXECUTORS = ("reference",) + DERIVED_EXECUTORS
 
 
 class TestGoldenEquivalence:
@@ -78,21 +84,59 @@ class TestGoldenEquivalence:
             assert centre.memory_in_use() == centre_ref.memory_in_use()
 
 
+class TestRepeatedExecution:
+    def test_second_execute_matches_the_other_backends(self):
+        """Scalar interpreter state persists across runs: a relaunch must
+        resume from it (fields AND statistics), not restart the program,
+        and the statistics stay cumulative without counting a run twice."""
+        module = _star_program_module(4, 4, name="twice")
+        results = {}
+        for executor in ALL_EXECUTORS:
+            simulator = WseSimulator(module, executor=executor)
+            z = simulator.pe(0, 0).buffers["u"].shape[0]
+            simulator.load_field("u", np.ones((4, 4, z), dtype=np.float32))
+            simulator.execute()
+            simulator.execute()
+            assert simulator.statistics.tasks_run == sum(
+                pe.counters["tasks_run"] for row in simulator.grid for pe in row
+            ), f"{executor} counted a run twice on relaunch"
+            results[executor] = (
+                {f: simulator.read_field(f).tobytes() for f in ("u", "v")},
+                simulator.statistics,
+            )
+        reference_fields, reference_stats = results["reference"]
+        for executor in DERIVED_EXECUTORS:
+            fields, stats = results[executor]
+            assert fields == reference_fields
+            assert stats == reference_stats
+
+    @pytest.mark.parametrize("executor", ALL_EXECUTORS)
+    def test_run_without_new_launch_is_a_settled_no_op(self, executor):
+        """On every backend alike: no launch since the last run means the
+        statistics come back unchanged and fields stay untouched."""
+        module = _star_program_module(4, 4, name="rerun")
+        simulator = WseSimulator(module, executor=executor)
+        stats_after_execute = replace(simulator.execute())
+        fields_before = simulator.read_field("v").tobytes()
+        simulator.run()  # no launch in between: nothing to do
+        assert simulator.read_field("v").tobytes() == fields_before
+        assert simulator.statistics == stats_after_execute
+
+
 class TestExecutorSelection:
     def test_registry_lists_all_backends(self):
         assert "reference" in available_executors()
         assert "vectorized" in available_executors()
-        assert "tiled" in available_executors()
+        assert "compiled" in available_executors()
         assert executor_by_name("reference") is ReferenceExecutor
         assert executor_by_name("vectorized") is VectorizedExecutor
-        assert executor_by_name("tiled") is TiledExecutor
 
     def test_unknown_executor_names_the_alternatives(self):
         with pytest.raises(KeyError, match="unknown executor 'warp'") as excinfo:
             executor_by_name("warp")
         assert "reference" in str(excinfo.value)
         assert "vectorized" in str(excinfo.value)
-        assert "tiled" in str(excinfo.value)
+        assert "compiled" in str(excinfo.value)
 
     def test_env_var_selects_the_default(self, monkeypatch):
         monkeypatch.setenv(EXECUTOR_ENV_VAR, "reference")
@@ -148,5 +192,35 @@ def _tiny_program_module():
     )
     result = compile_stencil_program(
         program, PipelineOptions(grid_width=3, grid_height=3, num_chunks=1)
+    )
+    return result.program_module
+
+
+def _star_program_module(nx, ny, nz=8, steps=2, name="star"):
+    from repro.frontends.common import (
+        Constant,
+        FieldAccess,
+        FieldDecl,
+        StencilEquation,
+        StencilProgram,
+    )
+
+    u = lambda dx, dy, dz: FieldAccess("u", (dx, dy, dz))
+    expression = (
+        u(0, 0, 0)
+        + u(1, 0, 0)
+        + u(-1, 0, 0)
+        + u(0, 1, 0)
+        + u(0, -1, 0)
+        + u(0, 0, 1)
+    ) * Constant(0.25)
+    program = StencilProgram(
+        name=name,
+        fields=[FieldDecl("u", (nx, ny, nz)), FieldDecl("v", (nx, ny, nz))],
+        equations=[StencilEquation("v", expression)],
+        time_steps=steps,
+    )
+    result = compile_stencil_program(
+        program, PipelineOptions(grid_width=nx, grid_height=ny, num_chunks=2)
     )
     return result.program_module

@@ -21,7 +21,6 @@ from repro.wse.executors import (
     CompiledExecutor,
     Executor,
     ReferenceExecutor,
-    TiledExecutor,
     VectorizedExecutor,
     available_executors,
     default_executor_name,
@@ -47,19 +46,17 @@ def program_module():
 
 
 class TestRegistryErrors:
-    def test_all_five_backends_are_registered(self):
+    def test_all_four_backends_are_registered(self):
         from repro.wse.executors.auto import AutoExecutor
 
         assert available_executors() == (
             "auto",
             "compiled",
             "reference",
-            "tiled",
             "vectorized",
         )
         assert executor_by_name("reference") is ReferenceExecutor
         assert executor_by_name("vectorized") is VectorizedExecutor
-        assert executor_by_name("tiled") is TiledExecutor
         assert executor_by_name("compiled") is CompiledExecutor
         assert executor_by_name("auto") is AutoExecutor
 
@@ -75,7 +72,7 @@ class TestRegistryErrors:
     ):
         with pytest.raises(KeyError, match="unknown executor 'gpu'") as excinfo:
             WseSimulator(program_module, executor="gpu")
-        assert "tiled" in str(excinfo.value)
+        assert "compiled" in str(excinfo.value)
 
     def test_unknown_env_var_raises_at_construction(
         self, program_module, monkeypatch
@@ -137,7 +134,7 @@ class TestRegistryErrors:
 
 
 class TestSelectionPrecedence:
-    @pytest.mark.parametrize("env_name", ["reference", "tiled"])
+    @pytest.mark.parametrize("env_name", ["reference", "compiled"])
     def test_env_var_selects_the_process_default(
         self, program_module, monkeypatch, env_name
     ):
@@ -150,9 +147,9 @@ class TestSelectionPrecedence:
         self, program_module, monkeypatch
     ):
         monkeypatch.setenv(EXECUTOR_ENV_VAR, "reference")
-        simulator = WseSimulator(program_module, executor="tiled")
-        assert simulator.executor_name == "tiled"
-        assert isinstance(simulator.executor, TiledExecutor)
+        simulator = WseSimulator(program_module, executor="compiled")
+        assert simulator.executor_name == "compiled"
+        assert isinstance(simulator.executor, CompiledExecutor)
 
     def test_constructor_argument_beats_even_a_broken_env_var(
         self, program_module, monkeypatch

@@ -32,7 +32,6 @@ from repro.wse.codegen import (
     reset_kernel_cache,
 )
 from repro.wse.executors import executor_by_name
-from repro.wse.executors.auto import TRAJECTORY_ENV_VAR
 from repro.wse.interpreter import ProgramImage
 from repro.wse.plan import ExecutionPlan
 
@@ -404,9 +403,6 @@ class TestRunServiceProvenance:
     def test_vectorized_jobs_generate_no_kernel(self, monkeypatch, tmp_path):
         """`auto` on a small grid delegates to vectorized: the job must
         neither generate a kernel nor start the compiler."""
-        # Decide from the host model, not from whatever trajectory the
-        # throughput benchmarks left in the working directory.
-        monkeypatch.setenv(TRAJECTORY_ENV_VAR, str(tmp_path / "none.json"))
         benchmark = next(b for b in ALL_BENCHMARKS if b.name == "Jacobian")
         with RunService(cache_dir=tmp_path) as service:
             artifact = service.run(

@@ -11,7 +11,6 @@ from repro.frontends.common import (
     StencilProgram,
 )
 from repro.transforms.pipeline import PipelineOptions, compile_stencil_program
-from repro.wse.executors import SimulationStatistics
 from repro.wse.simulator import WseSimulator
 
 
@@ -57,81 +56,3 @@ def test_read_field_names_the_missing_buffer():
     with pytest.raises(KeyError, match="unknown field 'missing'") as excinfo:
         simulator.read_field("missing")
     assert "available buffers:" in str(excinfo.value)
-
-
-class TestStatisticsMerge:
-    """``SimulationStatistics.merge``: counters sum, peak memory maxes."""
-
-    def test_counters_sum_and_memory_maxes(self):
-        merged = SimulationStatistics.merge(
-            [
-                SimulationStatistics(
-                    rounds=2,
-                    tasks_run=10,
-                    exchanges=3,
-                    dsd_ops=7,
-                    dsd_elements=70,
-                    wavelets_sent=12,
-                    max_pe_memory_bytes=512,
-                ),
-                SimulationStatistics(
-                    rounds=1,
-                    tasks_run=4,
-                    exchanges=1,
-                    dsd_ops=2,
-                    dsd_elements=20,
-                    wavelets_sent=6,
-                    max_pe_memory_bytes=768,
-                ),
-            ]
-        )
-        assert merged == SimulationStatistics(
-            rounds=3,
-            tasks_run=14,
-            exchanges=4,
-            dsd_ops=9,
-            dsd_elements=90,
-            wavelets_sent=18,
-            max_pe_memory_bytes=768,
-        )
-
-    def test_empty_merge_is_the_zero_statistics(self):
-        assert SimulationStatistics.merge([]) == SimulationStatistics()
-
-    def test_single_part_merge_is_a_copy(self):
-        part = SimulationStatistics(rounds=5, tasks_run=9, max_pe_memory_bytes=64)
-        merged = SimulationStatistics.merge([part])
-        assert merged == part
-        merged.tasks_run += 1  # the merge must not alias its input
-        assert part.tasks_run == 9
-
-    def test_merge_matches_whole_grid_execution(self):
-        """Merging per-shard-shaped parts reproduces an executor's
-        aggregate: the property the tiled backend relies on."""
-        simulator = _simulator()
-        whole = simulator.execute()
-        # Split the 3x3 fabric's aggregate into a 6-PE and a 3-PE part the
-        # way a row-banded sharding would.
-        per_pe = {
-            name: value // 9
-            for name, value in (
-                ("tasks_run", whole.tasks_run),
-                ("exchanges", whole.exchanges),
-                ("dsd_ops", whole.dsd_ops),
-                ("dsd_elements", whole.dsd_elements),
-                ("wavelets_sent", whole.wavelets_sent),
-            )
-        }
-        parts = [SimulationStatistics(rounds=whole.rounds)]
-        for pes in (6, 3):
-            parts.append(
-                SimulationStatistics(
-                    tasks_run=per_pe["tasks_run"] * pes,
-                    exchanges=per_pe["exchanges"] * pes,
-                    dsd_ops=per_pe["dsd_ops"] * pes,
-                    dsd_elements=per_pe["dsd_elements"] * pes,
-                    wavelets_sent=per_pe["wavelets_sent"] * pes,
-                    max_pe_memory_bytes=whole.max_pe_memory_bytes,
-                )
-            )
-        assert SimulationStatistics.merge(parts) == whole
