@@ -8,15 +8,12 @@ files share one record schema so trend tooling can concatenate them:
 ``{"name": str, "grid": "WxH", "executor": str, "seconds": float,
 "speedup": float}``
 
-plus optional fields:
+plus an optional field:
 
 ``"cache": "cold" | "warm"`` — whether the measured run paid one-time
 setup (``cold``: e.g. the ``compiled`` backend generating its kernel) or
 reused it (``warm``); records without the field measured a backend with no
 cache distinction.
-
-``"r": int`` — the temporal block depth (delivery rounds fused per kernel
-invocation) the run was measured at; absent means unblocked (R = 1).
 
 ``speedup`` is relative to the record's baseline executor (1.0 for the
 baseline itself); ``executor`` names the execution backend measured, or a
@@ -31,12 +28,12 @@ from pathlib import Path
 #: the exact keys every trajectory record must carry.
 RECORD_KEYS = ("name", "grid", "executor", "seconds", "speedup")
 
-#: optional keys a record may additionally carry; a tuple enumerates the
-#: legal values, a type admits any instance of it.
-OPTIONAL_KEYS = {"cache": ("cold", "warm"), "r": int}
+#: optional keys a record may additionally carry, with their legal values.
+OPTIONAL_KEYS = {"cache": ("cold", "warm")}
 
-#: bump when the record shape changes.
-TRAJECTORY_SCHEMA_VERSION = 1
+#: bump when the record shape changes.  v2: the temporal block depth ``r``
+#: is gone (the compiled kernel has one shape per program).
+TRAJECTORY_SCHEMA_VERSION = 2
 
 
 def make_record(
@@ -46,7 +43,6 @@ def make_record(
     seconds: float,
     speedup: float,
     cache: str | None = None,
-    r: int | None = None,
 ) -> dict:
     """One schema-conforming trajectory record."""
     record = {
@@ -58,8 +54,6 @@ def make_record(
     }
     if cache is not None:
         record["cache"] = cache
-    if r is not None:
-        record["r"] = int(r)
     return record
 
 
@@ -83,18 +77,10 @@ def write_trajectory(path: str | Path, records: list[dict]) -> Path:
                 f"shared schema {sorted(RECORD_KEYS)}"
             )
         for key, legal in OPTIONAL_KEYS.items():
-            if key not in record:
-                continue
-            if isinstance(legal, tuple):
-                if record[key] not in legal:
-                    raise ValueError(
-                        f"trajectory record {key}={record[key]!r} is not "
-                        f"one of {legal}"
-                    )
-            elif not isinstance(record[key], legal):
+            if key in record and record[key] not in legal:
                 raise ValueError(
                     f"trajectory record {key}={record[key]!r} is not "
-                    f"a {legal.__name__}"
+                    f"one of {legal}"
                 )
     payload = {
         "schema_version": TRAJECTORY_SCHEMA_VERSION,
@@ -117,13 +103,12 @@ def read_trajectory(path: str | Path) -> list[dict]:
 
 def merge_trajectory(path: str | Path, records: list[dict]) -> Path:
     """Merge new records into a trajectory file by
-    ``(name, grid, executor, cache, r)``.
+    ``(name, grid, executor, cache)``.
 
     Existing records with the same key are replaced, everything else is
     preserved — so independent benchmarks (or a partial rerun of one) each
     refresh their own rows without clobbering the rest of the file (a
-    backend's cold and warm measurements are distinct rows, as are rows at
-    different temporal block depths).  An unreadable or stale-schema file
+    backend's cold and warm measurements are distinct rows).  An unreadable or stale-schema file
     is simply rewritten.
     """
     path = Path(path)
@@ -132,7 +117,6 @@ def merge_trajectory(path: str | Path, records: list[dict]) -> Path:
         record["grid"],
         record["executor"],
         record.get("cache"),
-        record.get("r"),
     )
     try:
         existing = read_trajectory(path)

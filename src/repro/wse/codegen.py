@@ -5,9 +5,10 @@ delivery round: every op pays a dict dispatch, every DSD operand a slice
 construction, and the halo exchange allocates fresh gather/concatenate
 arrays per chunk.  On small fabrics that dispatch overhead dominates; on
 large fabrics the per-round allocations do.  This module removes both by
-walking the :class:`~repro.wse.plan.ExecutionPlan` **once** and emitting a
-single fused per-round Python/NumPy function as source text, materialised
-via ``exec``:
+walking the :class:`~repro.wse.plan.ExecutionPlan` **once** and emitting
+one kernel per program as Python/NumPy source text, materialised via
+``exec``.  Its ``run_block(budget)`` runs the whole time loop in one call,
+as the host launches the fabric once:
 
 * every callable becomes a plain Python function (``counters`` bump +
   straight-line statements) — task activations append bound functions to a
@@ -20,10 +21,11 @@ via ``exec``:
   destination never partially overlaps a source — otherwise they fall back
   to the interpreter's exact ``dest[:] = expr`` statement, so results stay
   byte-identical either way;
-* the chunked halo exchange unrolls into per-direction copies into
-  preallocated staging buffers: gatherable directions are fancy-index
-  gathers through the plan's fold tables, Dirichlet directions write only
-  the interior rectangle over a border prefilled once at bind time.
+* the chunked halo exchange unrolls into per-direction copies straight
+  into the receive buffer, chunk by chunk with the receive callback after
+  each: gathers become a few basic-slice copies (or one fancy-index gather
+  through the plan's fold tables), Dirichlet directions write only the
+  interior rectangle over a constant-fill border.
 
 Kernels are cached process-wide in an in-memory memo keyed by a *kernel
 fingerprint* (SHA-256 over the printed program module, the plan's canonical
@@ -33,9 +35,13 @@ fleet-wide.  Set ``REPRO_COMPILED_DUMP`` to a directory to retain the
 emitted source of every kernel for debugging (plus the C of native-tier
 kernels, see :mod:`repro.wse.native`).
 
-Only the constructs the pipeline generates are compilable; anything else
-raises :class:`KernelCodegenError` and the ``compiled`` executor falls back
-to plain vectorized interpretation.
+Staging straight into the receive buffer is only equivalent to the
+interpreter's stage-everything-first exchange when the receive callback
+writes neither the source nor the receive buffer (every exchange the
+pipeline generates qualifies).  An exchange that does not, and any
+construct the pipeline never generates, raises :class:`KernelCodegenError`;
+the ``compiled`` executor then falls back to plain vectorized
+interpretation.
 """
 
 from __future__ import annotations
@@ -63,43 +69,14 @@ if TYPE_CHECKING:  # pragma: no cover
 #: bump when the emitted kernel semantics change; folded into kernel
 #: fingerprints (stale memo/store entries then miss) and into run-level
 #: fingerprints so cached run artifacts invalidate alongside.
-#: v2: temporal-block (multi-round) emission mode; unblocked emission is
-#: byte-identical to v1.
-CODEGEN_VERSION = 2
+#: v3: one kernel shape per program (the whole-loop ``run_block`` with
+#: direct staging); the per-round ``deliver``/``settled`` hooks are gone.
+CODEGEN_VERSION = 3
 
 #: environment variable naming a directory to retain emitted kernel source
 #: in (``kernel_<fingerprint12>.py`` per kernel, and ``kernel_<fp12>.c``
 #: beside native-tier kernels) for debugging.
 DUMP_ENV_VAR = "REPRO_COMPILED_DUMP"
-
-#: environment variable forcing the temporal block depth — how many delivery
-#: rounds the compiled backend fuses per kernel invocation.
-FUSION_ENV_VAR = "REPRO_FUSION_ROUNDS"
-
-
-def resolve_block_depth(explicit: int | None = None) -> int:
-    """The temporal block depth to run with.
-
-    Precedence: an explicit constructor argument, then the
-    ``REPRO_FUSION_ROUNDS`` environment override, then 1 (unblocked).
-    """
-    if explicit is not None:
-        value = int(explicit)
-    else:
-        raw = os.environ.get(FUSION_ENV_VAR, "").strip()
-        if not raw:
-            return 1
-        try:
-            value = int(raw)
-        except ValueError:
-            raise ValueError(
-                f"invalid {FUSION_ENV_VAR}={raw!r}: expected a positive "
-                f"integer block depth"
-            ) from None
-    if value < 1:
-        raise ValueError(f"temporal block depth must be >= 1, got {value}")
-    return value
-
 
 class KernelCodegenError(Exception):
     """The program uses a construct the kernel generator does not fuse."""
@@ -113,7 +90,6 @@ class KernelCodegenError(Exception):
 def kernel_fingerprint(
     image: "ProgramImage",
     plan: ExecutionPlan,
-    rounds: int = 1,
     native: bool = False,
 ) -> str:
     """Content fingerprint of one (program module, plan) kernel.
@@ -122,19 +98,14 @@ def kernel_fingerprint(
     plan's canonical form and the codegen version, so two processes that
     compiled the same program to the same plan share one kernel — and any
     change to the program, the planning semantics or the emitter invalidates
-    it exactly once.  Temporal-block kernels fold their depth
-    (``rounds > 1``) so each (plan, R) variant caches exactly once;
-    ``rounds == 1`` leaves the payload untouched — unblocked fingerprints
-    are insensitive to the parameter existing.
-    Native-tier glue kernels fold the native emitter's version.
+    it exactly once.  Native-tier glue kernels fold the native emitter's
+    version.
     """
     payload = {
         "codegen_version": CODEGEN_VERSION,
         "module": print_module(image.module),
         "plan": plan.canonical(),
     }
-    if rounds != 1:
-        payload["rounds"] = rounds
     if native:
         from repro.wse.native import NATIVE_VERSION
 
@@ -241,17 +212,9 @@ class _KernelEmitter:
         "sge": ">=",
     }
 
-    def __init__(
-        self,
-        image: "ProgramImage",
-        plan: ExecutionPlan,
-        rounds: int = 1,
-    ):
+    def __init__(self, image: "ProgramImage", plan: ExecutionPlan):
         self.image = image
         self.plan = plan
-        #: temporal block depth; ``> 1`` grows the in-kernel round loop
-        #: (``run_block``) and the direct-to-receive delivery.
-        self.rounds = rounds
         self._fn_names: dict[str, str] = {}
         self._buffer_names: dict[str, str] = {}
         self._views: dict[tuple, str] = {}  # (buffer, offset, length, stride)
@@ -259,12 +222,9 @@ class _KernelEmitter:
         self._scratch: dict[int, str] = {}  # dest length -> name
         #: (eid, exchange plan, authoritative source buffer) per comms op.
         self._exchanges: list[tuple[int, ExchangePlan, str]] = []
-        #: exchanges delivered straight into the receive slab (block mode):
-        #: their staging slabs are never allocated.
-        self._direct_eids: set[int] = set()
-        #: direct-mode exchanges whose constant-fill borders are written
-        #: lazily under a ``fl<eid>`` once-flag (receive buffer proven
-        #: unwritten outside delivery).
+        #: exchanges whose constant-fill borders are written lazily under a
+        #: ``fl<eid>`` once-flag (receive buffer proven unwritten outside
+        #: delivery).
         self._fill_flags: set[int] = set()
         self._write_sets: dict[str, set[str] | None] = {}
         self._temp = 0
@@ -616,7 +576,7 @@ class _KernelEmitter:
         b.line("counters['exchanges'] += 1")
         b.line(f"pending[0] = {eid}")
 
-    # -- temporal-block write-set analysis -------------------------------- #
+    # -- write-set analysis ---------------------------------------------- #
 
     def _written_buffers(self, name: str) -> set[str] | None:
         """Buffers the direct-call closure of a callable may write.
@@ -682,11 +642,11 @@ class _KernelEmitter:
     ) -> bool:
         """May this exchange stage each chunk straight into the receive slab?
 
-        The unblocked kernel stages *every* chunk before any receive
-        callback runs; interleaving stage and callback is byte-equivalent
-        exactly when the callback's direct-call closure writes neither the
-        source (later chunks would re-read modified data) nor the receive
-        buffer (its slab state between chunks is observable).
+        The interpreter stages *every* chunk before any receive callback
+        runs; interleaving stage and callback is byte-equivalent exactly
+        when the callback's direct-call closure writes neither the source
+        (later chunks would re-read modified data) nor the receive buffer
+        (its slab state between chunks is observable).
         """
         if exchange.receive_buffer == source_buffer:
             return False
@@ -734,72 +694,19 @@ class _KernelEmitter:
         source_buffer: str,
         b: SourceBuilder,
     ) -> None:
-        if self.rounds > 1 and self._direct_staging_safe(
-            exchange, source_buffer
-        ):
-            self._emit_block_deliver_fn(eid, exchange, source_buffer, b)
-            return
-        depth = exchange.chunk_size * len(exchange.directions)
-        source = self._buffer(source_buffer)
-        b.line(f"def deliver_{eid}():")
-        with b.indented():
-            body_start = len(b)
-            total = exchange.num_chunks * exchange.chunk_size * len(
-                exchange.directions
-            )
-            # Phase 1: stage every chunk before any callback may write.
-            for chunk in range(exchange.num_chunks):
-                start = exchange.source_offset + chunk * exchange.chunk_size
-                stop = start + exchange.chunk_size
-                for slot, direction in enumerate(exchange.directions):
-                    self._emit_stage_direction(
-                        eid, exchange, chunk, slot, direction,
-                        source, start, stop, b,
-                    )
-            if total:
-                b.line(f"counters['wavelets_sent'] += {total}")
-            # Phase 2: deliver chunk by chunk, receive callback per chunk.
-            receive_view = (
-                self._static_view(
-                    _DsdExpr(exchange.receive_buffer, 0, depth, 1)
-                )
-                if depth
-                else None
-            )
-            for chunk in range(exchange.num_chunks):
-                if receive_view is not None:
-                    b.line(f"np.copyto({receive_view}, st{eid}_{chunk})")
-                if exchange.receive_callback:
-                    argument = chunk * exchange.chunk_size
-                    b.line(f"{self._fn(exchange.receive_callback)}({argument})")
-            if exchange.done_callback:
-                b.line(
-                    f"queue.append(({self._fn(exchange.done_callback)}, 0))"
-                )
-            if len(b) == body_start:  # zero-chunk, no-callback degenerate
-                b.line("pass")
-
-    def _emit_block_deliver_fn(
-        self,
-        eid: int,
-        exchange: ExchangePlan,
-        source_buffer: str,
-        b: SourceBuilder,
-    ) -> None:
-        """Fused-block delivery: stage each chunk straight into the receive
-        slab, skipping the per-chunk full-slab copy.
+        """One delivery: stage each chunk straight into the receive slab,
+        then run the receive callback on it.
 
         Legal because :meth:`_direct_staging_safe` proved the receive
         callback writes neither the source buffer (later chunks re-read the
         same data the up-front staging would have) nor the receive buffer
-        (the slab content each callback observes equals the unblocked
-        ``np.copyto`` result).  Constant-fill borders are re-established at
-        the top of the delivery — or once per kernel binding when no task
-        of the program ever writes the receive buffer.
+        (the slab content each callback observes equals the interpreter's
+        staged copy).  Constant-fill borders are re-established at the top
+        of the delivery — or once per kernel binding when no task of the
+        program ever writes the receive buffer.
         """
         depth = exchange.chunk_size * len(exchange.directions)
         source = self._buffer(source_buffer)
-        self._direct_eids.add(eid)
         receive_view = (
             self._static_view(_DsdExpr(exchange.receive_buffer, 0, depth, 1))
             if depth
@@ -926,50 +833,6 @@ class _KernelEmitter:
         else:
             b.line(f"np.multiply({gathered}, {coefficient}, out={dest})")
 
-    def _emit_stage_direction(
-        self,
-        eid: int,
-        exchange: ExchangePlan,
-        chunk: int,
-        slot: int,
-        direction: tuple[int, int],
-        source: str,
-        start: int,
-        stop: int,
-        b: SourceBuilder,
-    ) -> None:
-        z0 = slot * exchange.chunk_size
-        z1 = z0 + exchange.chunk_size
-        staging = f"st{eid}_{chunk}[:, :, {z0}:{z1}]"
-        coefficient = (
-            f"c{eid}_{slot}" if exchange.coefficients is not None else None
-        )
-        if self.plan.gather_indices(direction) is not None:
-            rows, cols = self._gather(direction)
-            gathered = f"{source}[{rows}, {cols}, {start}:{stop}]"
-            if coefficient is None:
-                b.line(f"{staging} = {gathered}")
-            else:
-                b.line(f"np.multiply({gathered}, {coefficient}, out={staging})")
-            return
-        # Dirichlet fill path: the staging border was prefilled at bind
-        # time; only the interior rectangle moves per round.
-        dx, dy = direction
-        y0, y1, x0, x1 = self.plan.halo_table(direction).interior_box()
-        if y0 >= y1 or x0 >= x1:
-            return
-        staging = (
-            f"st{eid}_{chunk}[{y0}:{y1}, {x0}:{x1}, {z0}:{z1}]"
-        )
-        shifted = (
-            f"{source}[{y0 + dy}:{y1 + dy}, {x0 + dx}:{x1 + dx}, "
-            f"{start}:{stop}]"
-        )
-        if coefficient is None:
-            b.line(f"{staging} = {shifted}")
-        else:
-            b.line(f"np.multiply({shifted}, {coefficient}, out={staging})")
-
     # -- assembly --------------------------------------------------------- #
 
     def emit(self, fingerprint: str | None = None) -> str:
@@ -981,20 +844,15 @@ class _KernelEmitter:
 
         delivery = SourceBuilder(indent=1)
         for eid, exchange, source_buffer in self._exchanges:
+            if not self._direct_staging_safe(exchange, source_buffer):
+                raise KernelCodegenError(
+                    f"exchange {eid} (source '{source_buffer}', receive "
+                    f"buffer '{exchange.receive_buffer}', receive callback "
+                    f"'{exchange.receive_callback}') cannot stage straight "
+                    f"into its receive buffer: the two buffers are one, or "
+                    f"the callback may write either"
+                )
             self._emit_deliver_fn(eid, exchange, source_buffer, delivery)
-        delivery.line("def deliver():")
-        with delivery.indented():
-            delivery.line("eid = pending[0]")
-            delivery.line("if eid < 0:")
-            with delivery.indented():
-                delivery.line("return 0")
-            delivery.line("pending[0] = -1")
-            for eid, _, _ in self._exchanges:
-                keyword = "if" if eid == 0 else "elif"
-                delivery.line(f"{keyword} eid == {eid}:")
-                with delivery.indented():
-                    delivery.line(f"deliver_{eid}()")
-            delivery.line(f"return {self.plan.width * self.plan.height}")
 
         out = SourceBuilder()
         boundary = self.plan.boundary
@@ -1007,10 +865,6 @@ class _KernelEmitter:
             f"{self.plan.width}x{self.plan.height}; "
             f"boundary {boundary.kind}({boundary.value!r})"
         )
-        if self.rounds > 1:
-            out.line(
-                f"# temporal block: {self.rounds} rounds per invocation"
-            )
         if fingerprint:
             out.line(f"# fingerprint {fingerprint}")
         out.line(f"def make_kernel({self.MAKE_PARAMS}):")
@@ -1038,7 +892,7 @@ class _KernelEmitter:
                     f"{rows}, {cols} = plan.gather_indices(({direction[0]}, "
                     f"{direction[1]}))"
                 )
-            # Per-exchange constants, staging buffers and border prefill.
+            # Per-exchange constants and once-flags.
             grid = f"{self.plan.height}, {self.plan.width}"
             for eid, exchange, _ in self._exchanges:
                 if exchange.coefficients is not None:
@@ -1048,26 +902,6 @@ class _KernelEmitter:
                         )
                 if eid in self._fill_flags:
                     out.line(f"fl{eid} = [True]")
-                if eid in self._direct_eids:
-                    continue  # stages straight into the receive slab
-                depth = exchange.chunk_size * len(exchange.directions)
-                for chunk in range(exchange.num_chunks):
-                    out.line(
-                        f"st{eid}_{chunk} = np.empty(({grid}, {depth}), "
-                        f"dtype=np.float32)"
-                    )
-                    for slot, direction in enumerate(exchange.directions):
-                        if self.plan.gather_indices(direction) is not None:
-                            continue
-                        fill = self.plan.halo_table(direction).fill_value
-                        z0 = slot * exchange.chunk_size
-                        z1 = z0 + exchange.chunk_size
-                        value = f"np.float32({fill!r})"
-                        if exchange.coefficients is not None:
-                            value = f"{value} * c{eid}_{slot}"
-                        out.line(
-                            f"st{eid}_{chunk}[:, :, {z0}:{z1}] = {value}"
-                        )
             for length in sorted(self._scratch):
                 out.line(
                     f"{self._scratch[length]} = np.empty(({grid}, {length}), "
@@ -1076,59 +910,40 @@ class _KernelEmitter:
             self._emit_bindings(out)
             out.extend(callables)
             out.extend(delivery)
-            out.line("def drain():")
+            # The round loop: drain the task queue, stop once settled,
+            # otherwise deliver the pending exchange -- the interpreter's
+            # schedule, with ``budget`` bounding the rounds delivered.
+            out.line("def run_block(budget):")
             with out.indented():
-                out.line("while queue and not state.halted:")
+                out.line("executed = 0")
+                out.line("while executed < budget:")
                 with out.indented():
-                    out.line("fn, a = queue.popleft()")
-                    out.line("fn(a)")
-            out.line("def settled():")
-            with out.indented():
-                out.line(
-                    "return state.halted or (not queue and pending[0] < 0)"
-                )
-            if self.rounds > 1:
-                # The in-kernel round loop: exactly the executor's
-                # drain/settled/deliver schedule, minus one Python boundary
-                # crossing per round.  ``budget`` bounds the rounds executed
-                # per invocation; the caller re-invokes until settled.
-                out.line("def run_block(budget):")
-                with out.indented():
-                    out.line("executed = 0")
-                    out.line("while executed < budget:")
+                    out.line("while queue and not state.halted:")
                     with out.indented():
-                        out.line("drain()")
-                        out.line(
-                            "if state.halted or "
-                            "(not queue and pending[0] < 0):"
-                        )
+                        out.line("fn, a = queue.popleft()")
+                        out.line("fn(a)")
+                    out.line(
+                        "if state.halted or (not queue and pending[0] < 0):"
+                    )
+                    with out.indented():
+                        out.line("return executed, 'settled'")
+                    out.line("eid = pending[0]")
+                    out.line("if eid < 0:")
+                    with out.indented():
+                        out.line("return executed, 'deadlock'")
+                    out.line("pending[0] = -1")
+                    for eid, _, _ in self._exchanges:
+                        keyword = "if" if eid == 0 else "elif"
+                        out.line(f"{keyword} eid == {eid}:")
                         with out.indented():
-                            out.line("return executed, 'settled'")
-                        out.line("eid = pending[0]")
-                        out.line("if eid < 0:")
-                        with out.indented():
-                            out.line("return executed, 'deadlock'")
-                        out.line("pending[0] = -1")
-                        for eid, _, _ in self._exchanges:
-                            keyword = "if" if eid == 0 else "elif"
-                            out.line(f"{keyword} eid == {eid}:")
-                            with out.indented():
-                                out.line(f"deliver_{eid}()")
-                        out.line("executed += 1")
-                    out.line("return executed, 'budget'")
+                            out.line(f"deliver_{eid}()")
+                    out.line("executed += 1")
+                out.line("return executed, 'budget'")
             fns = ", ".join(
                 f"{name!r}: {self._fn_names[name]}"
                 for name in sorted(self.image.callables)
             )
-            out.line("return {")
-            with out.indented():
-                out.line(f"'fns': {{{fns}}},")
-                out.line("'drain': drain, 'deliver': deliver, "
-                         "'settled': settled,")
-                if self.rounds > 1:
-                    out.line("'run_block': run_block,")
-                out.line("'queue': queue, 'pending': pending,")
-            out.line("}")
+            out.line(f"return {{'fns': {{{fns}}}, 'run_block': run_block}}")
         self._emit_trailer(out)
         return out.text()
 
@@ -1143,20 +958,14 @@ def generate_kernel_source(
     image: "ProgramImage",
     plan: ExecutionPlan,
     fingerprint: str | None = None,
-    rounds: int = 1,
 ) -> str:
-    """Emit the fused per-round kernel of one (image, plan) as Python source.
+    """Emit the kernel of one (image, plan) as Python source.
 
     The emission is deterministic: the same image and plan produce
     byte-identical source (names are assigned in sorted/traversal order and
     no environmental state leaks in), which the golden dump test pins.
-    With ``rounds > 1`` the kernel is a temporal block: it grows a
-    ``run_block`` hook executing up to that many delivery rounds per
-    invocation, and deliveries stage straight into the receive slab where
-    provably safe; ``rounds == 1`` emission is byte-identical to not
-    passing the parameter.
     """
-    return _KernelEmitter(image, plan, rounds).emit(fingerprint)
+    return _KernelEmitter(image, plan).emit(fingerprint)
 
 
 # --------------------------------------------------------------------------- #
@@ -1270,11 +1079,9 @@ def get_kernel(
     image: "ProgramImage",
     plan: ExecutionPlan,
     store=None,
-    rounds: int = 1,
     native: bool = False,
 ) -> CompiledKernel:
-    """The compiled kernel of one (image, plan[, block depth]), cached by
-    fingerprint.
+    """The compiled kernel of one (image, plan), cached by fingerprint.
 
     Lookup order: the in-process memo, then ``store`` (any object with
     ``get(fingerprint) -> str | None`` and ``put(fingerprint, source)`` —
@@ -1284,7 +1091,7 @@ def get_kernel(
     is cached in that case.  ``native=True`` asks for the native tier's
     glue kernel, whose ``c_source`` the caller builds.
     """
-    fingerprint = kernel_fingerprint(image, plan, rounds, native)
+    fingerprint = kernel_fingerprint(image, plan, native)
     kernel = _MEMO.get(fingerprint)
     if kernel is not None:
         _STATISTICS.memory_hits += 1
@@ -1296,9 +1103,9 @@ def get_kernel(
         if native:
             from repro.wse.native import generate_native_source
 
-            source = generate_native_source(image, plan, fingerprint, rounds)
+            source = generate_native_source(image, plan, fingerprint)
         else:
-            source = generate_kernel_source(image, plan, fingerprint, rounds)
+            source = generate_kernel_source(image, plan, fingerprint)
         _STATISTICS.codegens += 1
         if store is not None:
             store.put(fingerprint, source)

@@ -11,16 +11,17 @@ Four backends ship in-tree, all replaying the same pre-compiled
   once and executes every csl-ir op as whole-grid NumPy array math.
   Bit-identical to the reference and several times faster at 8×8+ grids.
 * ``compiled`` — the generated-kernel executor
-  (:mod:`repro.wse.executors.compiled`): code-generates the whole delivery
-  round from the plan into one fused Python/NumPy function
-  (:mod:`repro.wse.codegen`), cached process-wide by content fingerprint.
+  (:mod:`repro.wse.executors.compiled`): code-generates the program from
+  the plan into one Python/NumPy kernel that runs the whole time loop in
+  one call (:mod:`repro.wse.codegen`), cached process-wide by content
+  fingerprint.
   With a C compiler its native tier runs the DSD work as C.  Bit-identical
   to ``vectorized`` and the fastest backend from a few thousand PEs up.
 * ``auto`` — the dispatcher (:mod:`repro.wse.executors.auto`): picks one
-  of the three real backends, and the temporal block depth for
-  ``compiled``, with a static host cost model over the plan size (PEs ×
-  column depth × delivery rounds), then delegates everything to it; the
-  decision and its rationale are stamped on the run's statistics.
+  of the three real backends with a static host cost model over the plan
+  size (PEs × column depth × delivery rounds), then delegates everything
+  to it; the decision and its rationale are stamped on the run's
+  statistics.
 
 Selection, in priority order: the ``executor=`` argument of
 :class:`repro.wse.simulator.WseSimulator`, the ``REPRO_EXECUTOR``

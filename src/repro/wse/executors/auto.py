@@ -4,17 +4,16 @@ Every backend replays the same execution plan with identical observable
 results, so the only open question per workload is *which one is fastest
 on this host*: the per-PE ``reference`` interpreter on a single PE,
 ``vectorized`` on small fabrics (kernel generation costs more than it
-saves), ``compiled`` at a temporal block depth R from a few thousand PEs
-up.  This dispatcher makes that choice per simulator instance, from the
-plan size alone, and then delegates everything to the chosen backend.
+saves), ``compiled`` from a few thousand PEs up.  This dispatcher makes
+that choice per simulator instance, from the plan size alone, and then
+delegates everything to the chosen backend.
 
 The rule is static: :func:`repro.wse.perf_model.predict_host_seconds`
 prices each candidate from the PE count, the column depth and the
 delivery rounds :func:`estimate_delivery_rounds` reads off the program's
-time loop; the cheapest wins, and :func:`choose_block_depth` prices R for
-``compiled``.  The decision and its rationale are stamped on the run's
-:class:`SimulationStatistics` (``backend_decision`` /
-``backend_rationale``) so every result is auditable.
+time loop; the cheapest wins.  The decision and its rationale are
+stamped on the run's :class:`SimulationStatistics` (``backend_decision``
+/ ``backend_rationale``) so every result is auditable.
 
 Environment knob: ``REPRO_AUTO_BACKEND`` forces the delegate (the
 dispatcher still stamps the rationale as forced).
@@ -27,7 +26,6 @@ import os
 import numpy as np
 
 from repro.dialects import arith, csl, scf
-from repro.wse.codegen import FUSION_ENV_VAR
 from repro.wse.executors.base import (
     Executor,
     SimulationStatistics,
@@ -128,21 +126,6 @@ def estimate_delivery_rounds(image) -> int:
     return NOMINAL_ROUNDS
 
 
-def choose_block_depth(executor: str, rounds: int) -> int:
-    """The temporal block depth R the dispatcher asks its delegate for.
-
-    ``compiled`` blocks whenever the loop is long enough to fill a block:
-    whole-grid blocking fuses R rounds per Python crossing at zero extra
-    compute, so the largest supported depth not exceeding the loop wins.
-    The reference/vectorized backends do not block.
-    """
-    if executor == "compiled":
-        for depth in (4, 2):
-            if rounds >= depth:
-                return depth
-    return 1
-
-
 def choose_backend(
     width: int,
     height: int,
@@ -167,24 +150,18 @@ def choose_backend(
     return ranked[0], rationale
 
 
-def decide(image, plan) -> tuple[str, int, str]:
-    """What ``auto`` runs for one image and plan: ``(backend, R, why)``.
+def decide(image, plan) -> tuple[str, str]:
+    """What ``auto`` runs for one image and plan: ``(backend, why)``.
 
-    ``REPRO_AUTO_BACKEND`` forces the backend; ``REPRO_FUSION_ROUNDS``,
-    when set, leaves R to the delegate (reported here as 1).
+    ``REPRO_AUTO_BACKEND`` forces the backend.
     """
-    rounds = estimate_delivery_rounds(image)
     forced = os.environ.get(FORCE_ENV_VAR, "").strip()
     if forced:
-        choice, rationale = forced, f"forced by {FORCE_ENV_VAR}={forced}"
-    else:
-        depth = max(plan.buffers.values(), default=1)
-        choice, rationale = choose_backend(
-            plan.width, plan.height, depth, rounds
-        )
-    if os.environ.get(FUSION_ENV_VAR):
-        return choice, 1, rationale
-    return choice, choose_block_depth(choice, rounds), rationale
+        return forced, f"forced by {FORCE_ENV_VAR}={forced}"
+    depth = max(plan.buffers.values(), default=1)
+    return choose_backend(
+        plan.width, plan.height, depth, estimate_delivery_rounds(image)
+    )
 
 
 @register_executor
@@ -199,14 +176,9 @@ class AutoExecutor(Executor):
         self._delegate: Executor | None = None
         self._own_statistics = SimulationStatistics()
         super().__init__(image, width, height, plan, kernel_store)
-        choice, block_depth, rationale = decide(image, self.plan)
-        delegate_cls = executor_by_name(choice)
-        #: the temporal block depth priced for this workload (1 = unblocked).
-        self.block_depth = block_depth
-        kwargs = {"rounds_per_block": block_depth} if block_depth > 1 else {}
-        self._delegate = delegate_cls(
-            image, width, height, self.plan, kernel_store=kernel_store,
-            **kwargs,
+        choice, rationale = decide(image, self.plan)
+        self._delegate = executor_by_name(choice)(
+            image, width, height, self.plan, kernel_store=kernel_store
         )
         #: the decision surface: which backend runs, and why.
         self.backend_name = choice

@@ -55,8 +55,8 @@ class SimulationStatistics:
     #: statistics comparisons stay meaningful.
     backend_decision: str = field(default="", compare=False)
     backend_rationale: str = field(default="", compare=False)
-    #: delivery rounds fused per kernel invocation (temporal blocking);
-    #: 0 when the backend ran unblocked.  Descriptive, not additive.
+    #: delivery rounds the compiled kernel ran in its one call of the
+    #: last run; 0 on interpreting backends.  Descriptive, not additive.
     block_depth: int = field(default=0, compare=False)
     #: which tier of the compiled kernel ran (``native`` or ``numpy``;
     #: empty on interpreting backends) and why native did not.

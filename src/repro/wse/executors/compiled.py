@@ -1,14 +1,16 @@
-"""The compiled backend: one generated, fused per-round kernel.
+"""The compiled backend: one generated kernel runs the whole time loop.
 
 Where the ``vectorized`` backend still *interprets* the csl-ir program once
 per delivery round (dict dispatch per op, slice construction per DSD
 operand, fresh staging arrays per exchange), this backend asks
 :mod:`repro.wse.codegen` to walk the :class:`~repro.wse.plan.ExecutionPlan`
-once and emit the whole round as a single Python function: straight-line
-task bodies, bind-time hoisted DSD views and preallocated exchange
-staging.  The generated kernel is cached process-wide by its content
-fingerprint (and optionally through a service-level source store), so
-repeated simulations of the same program pay code generation exactly once.
+once and emit the program as one kernel: straight-line task bodies,
+bind-time hoisted DSD views, exchanges staged straight into the receive
+buffers, and the round loop itself.  A run is one ``run_block`` call, as
+the host launches the fabric once.  The generated kernel is cached
+process-wide by its content fingerprint (and optionally through a
+service-level source store), so repeated simulations of the same program
+pay code generation exactly once.
 
 The kernel comes in two tiers.  When a C compiler is available the
 **native** tier (:mod:`repro.wse.native`) runs the DSD work — straight-line
@@ -24,9 +26,10 @@ fields and :class:`~repro.wse.executors.base.SimulationStatistics` stay
 bit-identical to ``vectorized`` on both tiers (the golden equivalence tests
 pin this).
 
-Programs using constructs the generator does not fuse (none the pipeline
-emits, but hand-built test images can) fall back to plain vectorized
-interpretation; :attr:`CompiledExecutor.fallback_reason` records why.
+Programs the generator declines fall back to plain vectorized
+interpretation, and :attr:`CompiledExecutor.fallback_reason` records why:
+constructs the pipeline never emits, and exchanges whose receive callback
+writes the source or receive buffer (handwritten CSL can do both).
 """
 
 from __future__ import annotations
@@ -40,7 +43,6 @@ from repro.wse.codegen import (
     KernelCodegenError,
     get_kernel,
     kernel_cache_statistics,
-    resolve_block_depth,
 )
 from repro.wse.executors.base import SimulationStatistics, register_executor
 from repro.wse.executors.vectorized import VectorizedExecutor
@@ -52,12 +54,8 @@ if TYPE_CHECKING:  # pragma: no cover
 
 @register_executor
 class CompiledExecutor(VectorizedExecutor):
-    """Run the fused generated kernel; interpret only as a fallback.
+    """Run the generated kernel; interpret only as a fallback.
 
-    With a temporal block depth R > 1 (``rounds_per_block`` argument or the
-    ``REPRO_FUSION_ROUNDS`` environment override) the bound kernel carries
-    the round loop itself (``run_block``): up to R delivery rounds execute
-    per Python boundary crossing, byte-identical to unblocked execution.
     ``kernel_store`` (a :class:`~repro.service.kernels.KernelSourceStore`)
     serves and keeps kernel sources and native libraries across processes.
     """
@@ -70,7 +68,6 @@ class CompiledExecutor(VectorizedExecutor):
         width: int,
         height: int,
         plan: "ExecutionPlan | None" = None,
-        rounds_per_block: int | None = None,
         kernel_store=None,
     ):
         super().__init__(image, width, height, plan, kernel_store)
@@ -79,14 +76,11 @@ class CompiledExecutor(VectorizedExecutor):
         self.kernel: dict | None = None
         #: why code generation was declined, for diagnostics and tests.
         self.fallback_reason: str | None = None
-        #: why the temporal block was declined (runs unblocked instead).
-        self.block_fallback_reason: str | None = None
         #: content fingerprint of the generated kernel (None on fallback).
         self.kernel_fingerprint: str | None = None
         #: where the kernel (and its native library) came from, and which
         #: tier ran: folded into run artifacts by the run service.
         self.kernel_cache: dict | None = None
-        self._rounds_per_block = resolve_block_depth(rounds_per_block)
         self._library: native.LibraryRequest | None = None
         self._native_reason = ""
         compiler = native.find_compiler()
@@ -99,14 +93,20 @@ class CompiledExecutor(VectorizedExecutor):
                 self._compiled.c_source, compiler, self.kernel_store
             )
 
-    def _lookup(self, rounds: int, use_native: bool) -> CompiledKernel:
-        """One kernel through the memo/store, recording its provenance."""
+    def _resolve(self, use_native: bool) -> CompiledKernel | None:
+        """The kernel through the memo/store, recording its provenance, or
+        None (interpretation) when code generation declines."""
         before = kernel_cache_statistics()
         counts = before.codegens, before.memory_hits
-        compiled = get_kernel(
-            self.image, self.plan, store=self.kernel_store, rounds=rounds,
-            native=use_native,
-        )
+        try:
+            compiled = get_kernel(
+                self.image, self.plan, store=self.kernel_store,
+                native=use_native,
+            )
+        except KernelCodegenError as error:
+            self.fallback_reason = str(error)
+            self.kernel_cache = {"served_from": "fallback", "reason": str(error)}
+            return None
         after = kernel_cache_statistics()
         if after.codegens > counts[0]:
             served_from = "codegen"
@@ -120,24 +120,6 @@ class CompiledExecutor(VectorizedExecutor):
             "served_from": served_from,
         }
         return compiled
-
-    def _resolve(self, use_native: bool) -> CompiledKernel | None:
-        """The kernel to run: blocked at R when it fuses, else unblocked,
-        else None (interpretation)."""
-        if self._rounds_per_block > 1:
-            # The blocked kernel *is* the kernel: binding a second unblocked
-            # kernel to the same state would create a parallel task queue.
-            try:
-                return self._lookup(self._rounds_per_block, use_native)
-            except KernelCodegenError as error:
-                self.block_fallback_reason = str(error)
-                self._rounds_per_block = 1
-        try:
-            return self._lookup(1, use_native)
-        except KernelCodegenError as error:
-            self.fallback_reason = str(error)
-            self.kernel_cache = {"served_from": "fallback", "reason": str(error)}
-            return None
 
     def _bind(self) -> None:
         """Bind the kernel to this executor's state, once: wait for the
@@ -181,48 +163,20 @@ class CompiledExecutor(VectorizedExecutor):
         fn()
         self._pending_launch = True
 
-    def _drain_tasks(self) -> None:
-        if self.kernel is None:
-            super()._drain_tasks()
-            return
-        self.kernel["drain"]()
-
-    def _all_settled(self) -> bool:
-        if self.kernel is None:
-            return super()._all_settled()
-        return self.kernel["settled"]()
-
-    def _deliver_round(self) -> int:
-        if self.kernel is None:
-            return super()._deliver_round()
-        return self.kernel["deliver"]()
-
     def _run_rounds(self, max_rounds: int) -> SimulationStatistics:
-        if self.kernel is None or "run_block" not in self.kernel:
+        if self.kernel is None:
             return super()._run_rounds(max_rounds)
-        # Temporal blocking: the kernel's run_block executes up to R rounds
-        # per invocation on exactly the base drain/settled/deliver schedule,
-        # so termination, deadlock and round-budget semantics match the
-        # inherited loop case for case.
-        run_block = self.kernel["run_block"]
-        remaining = max_rounds
-        while True:
-            if remaining <= 0:
-                raise InterpretationError(
-                    f"simulation exceeded {max_rounds} rounds"
-                )
-            executed, status = run_block(
-                min(self._rounds_per_block, remaining)
+        # One call runs the whole loop on the interpreter's drain/settle/
+        # deliver schedule, so termination, deadlock and round-budget
+        # semantics match the inherited loop case for case.
+        executed, status = self.kernel["run_block"](max_rounds)
+        self.statistics.rounds += executed
+        if status == "deadlock":
+            raise InterpretationError(
+                "deadlock: PEs are neither halted nor waiting on an exchange"
             )
-            self.statistics.rounds += executed
-            remaining -= executed
-            if status == "settled":
-                break
-            if status == "deadlock":
-                raise InterpretationError(
-                    "deadlock: PEs are neither halted nor waiting on an "
-                    "exchange"
-                )
+        if status == "budget":
+            raise InterpretationError(f"simulation exceeded {max_rounds} rounds")
         self._collect_statistics()
-        self.statistics.block_depth = self._rounds_per_block
+        self.statistics.block_depth = executed
         return self.statistics

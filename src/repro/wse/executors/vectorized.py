@@ -112,8 +112,9 @@ class LockstepInterpreter(PeInterpreter):
 # The interpreted exchange of the vectorized executor (and of ``compiled``
 # when it falls back to interpretation): phase 1 stages every chunk before
 # phase 2 lets any callback write, exactly as the per-PE reference runtime
-# orders them.  The generated kernels of :mod:`repro.wse.codegen` unroll
-# the same two phases.
+# orders them.  The generated kernels of :mod:`repro.wse.codegen`
+# interleave the two per chunk instead, which is equivalent only for
+# exchanges whose receive callback writes neither buffer.
 # --------------------------------------------------------------------------- #
 
 

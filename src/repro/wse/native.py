@@ -11,19 +11,17 @@ kernel — in which two kinds of units call into C instead:
 
 * **straight-line DSD runs**: maximal runs of consecutive DSD builtins
   inside one callable become one C function;
-* **exchange deliveries**: the staging of every chunk plus the receive
-  callback's DSD run (when the callback is nothing but DSD work) become one
-  C function.
+* **exchange deliveries**: the staging of every chunk straight into the
+  receive buffer plus the receive callback's DSD run (when the callback is
+  nothing but DSD work) become one C function.
 
 Each C function loops **PE-major** — PE outside, op inside — so one PE's
 working set stays in cache across the whole unit.  The order is legal
-because a DSD builtin only touches its own PE's memory; a direct delivery
-(temporal blocks, R > 1) stages PE by PE only where
-:meth:`~repro.wse.codegen._KernelEmitter._direct_staging_safe` proves the
-receive callback writes neither the source nor the receive buffer, and the
-R = 1 delivery keeps its stage-everything-then-deliver structure, each
-phase PE-major.  Every unit keeps the structure of its NumPy emission, so
-``R`` still means what the temporal-fusion gate measures.
+because a DSD builtin only touches its own PE's memory, and a delivery
+stages PE by PE because
+:meth:`~repro.wse.codegen._KernelEmitter._direct_staging_safe` proved the
+receive callback writes neither the source nor the receive buffer (the
+emitter refuses the kernel otherwise).
 
 Results are bit-identical to the NumPy kernel:
 
@@ -194,8 +192,8 @@ class NativeKernelEmitter(_KernelEmitter):
         *_KernelEmitter.NOOP_OPS,
     )
 
-    def __init__(self, image, plan, rounds: int = 1):
-        super().__init__(image, plan, rounds=rounds)
+    def __init__(self, image, plan):
+        super().__init__(image, plan)
         #: glue name -> z size of the arrays in the pointer table, by slot.
         self._table: dict[str, int] = {}
         self._functions: list[str] = []
@@ -531,16 +529,11 @@ class NativeKernelEmitter(_KernelEmitter):
         source_buffer: str,
         b: SourceBuilder,
     ) -> None:
-        direct = self.rounds > 1 and self._direct_staging_safe(
-            exchange, source_buffer
-        )
-        lowered = self._delivery_function(eid, exchange, source_buffer, direct)
+        lowered = self._delivery_function(eid, exchange, source_buffer)
         if lowered is None:
             super()._emit_deliver_fn(eid, exchange, source_buffer, b)
             return
         name, tasks, ops, elements = lowered
-        if direct:
-            self._direct_eids.add(eid)  # no staging slabs
         total = exchange.num_chunks * exchange.chunk_size * len(
             exchange.directions
         )
@@ -606,7 +599,6 @@ class NativeKernelEmitter(_KernelEmitter):
         eid: int,
         exchange: ExchangePlan,
         source_buffer: str,
-        direct: bool,
     ) -> tuple[str, int, int, int] | None:
         """Emit the C function of one delivery; None when it stays NumPy.
 
@@ -709,37 +701,16 @@ class NativeKernelEmitter(_KernelEmitter):
         lines.append(f"void {name}(void *const *B) {{")
         lines.append(f"    const float *const S = (const float *)B[{src}];")
         lines += self._table_bases(unit)
-        loop_head = [
+        lines += [
             f"    for (long y = 0; y < {self.plan.height}L; ++y)",
             f"    for (long x = 0; x < {width}L; ++x) {{",
             f"        const long p = y * {width}L + x;",
+            *self._pe_bases(unit, "        "),
+            f"        for (long c = 0; c < {chunks}L; ++c) {{",
         ]
-        chunk_loop = f"        for (long c = 0; c < {chunks}L; ++c) {{"
-        if direct:
-            lines += loop_head + self._pe_bases(unit, "        ")
-            lines += [chunk_loop, *stage(f"P{recv}")]
-            lines += [f"        {statement}" for statement in callback]
-            lines += ["        }", "    }"]
-        else:
-            staging = ", ".join(
-                f"(float *)B[{self._slot(f'st{eid}_{chunk}', depth)}]"
-                for chunk in range(chunks)
-            )
-            lines.append(f"    float *const ST[{chunks}] = {{{staging}}};")
-            # Phase 1: stage every chunk before any callback may write.
-            lines += loop_head + [chunk_loop]
-            lines += stage(f"ST[c] + p * {depth}L")
-            lines += ["        }", "    }"]
-            # Phase 2: per chunk, the receive copy then the callback.
-            lines += loop_head + self._pe_bases(unit, "        ")
-            lines += [
-                chunk_loop,
-                f"        {_for_k(depth)} "
-                f"P{recv}[k] = ST[c][p * {depth}L + k];",
-            ]
-            lines += [f"        {statement}" for statement in callback]
-            lines += ["        }", "    }"]
-        lines.append("}")
+        lines += stage(f"P{recv}")
+        lines += [f"        {statement}" for statement in callback]
+        lines += ["        }", "    }", "}"]
         self._functions.append("\n".join(lines))
         self._signatures.append((name, ""))
         tasks = chunks if exchange.receive_callback else 0
@@ -784,9 +755,9 @@ class NativeKernelEmitter(_KernelEmitter):
         out.line('"""')
 
 
-def generate_native_source(image, plan, fingerprint=None, rounds: int = 1) -> str:
+def generate_native_source(image, plan, fingerprint=None) -> str:
     """Emit the glue kernel (with its ``C_SOURCE``) of one (image, plan)."""
-    return NativeKernelEmitter(image, plan, rounds).emit(fingerprint)
+    return NativeKernelEmitter(image, plan).emit(fingerprint)
 
 
 # --------------------------------------------------------------------------- #

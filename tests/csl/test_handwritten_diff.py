@@ -63,15 +63,19 @@ class TestHandwrittenKernel:
             simulator = WseSimulator(image, executor=executor)
             for name, columns in inputs.items():
                 simulator.load_field(name, columns.copy())
-            simulator.execute()
+            statistics = simulator.execute()
+            if executor == "compiled":
+                # Its exchanges are safe to stage directly: no fallback.
+                assert simulator.executor.fallback_reason is None
             fields = {
                 name: simulator.read_field(name).tobytes()
                 for name in sorted(image.buffers)
             }
             if baseline is None:
-                baseline = fields
+                baseline = fields, statistics
             else:
-                assert fields == baseline, f"{executor} diverges"
+                assert fields == baseline[0], f"{executor} diverges"
+                assert statistics == baseline[1], f"{executor} statistics"
 
     def test_agrees_with_generated(self, handwritten_image, generated_image):
         report = diff_images(

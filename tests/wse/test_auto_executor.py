@@ -3,7 +3,7 @@
 The dispatcher's contract has three layers, each covered here: the
 *decision procedure* (the host cost model's ranking matches the
 machine-independent intuition, and the benchmark's own workloads get the
-backend and block depth they always got), the *calibration* of the host
+backend they always got), the *calibration* of the host
 cost model against a recorded trajectory snapshot, and the *delegation*
 (an ``auto`` run is indistinguishable from running the chosen backend
 directly, plus the stamped decision metadata).
@@ -24,7 +24,6 @@ from repro.frontends.common import (
 )
 from repro.tests_support import run_on_executor
 from repro.transforms.pipeline import PipelineOptions, compile_stencil_program
-from repro.wse.codegen import FUSION_ENV_VAR
 from repro.wse.executors.auto import FORCE_ENV_VAR, choose_backend, decide
 from repro.wse.executors.base import SimulationStatistics
 from repro.wse.interpreter import ProgramImage
@@ -111,8 +110,8 @@ class TestDecisionTable:
 
 
 def _decision(config):
-    """``auto``'s (backend, R) for one benchmark-shaped program, decided
-    from its image and plan alone: no simulator is built or run."""
+    """``auto``'s backend for one benchmark-shaped program, decided from
+    its image and plan alone: no simulator is built or run."""
     benchmark, nx, ny, nz, steps, options = config
     program = benchmark.program(nx, ny, nz, steps)
     result = compile_stencil_program(
@@ -120,27 +119,26 @@ def _decision(config):
     )
     image = ProgramImage(result.program_module)
     plan = ExecutionPlan.compile(image, nx, ny)
-    choice, depth, _ = decide(image, plan)
-    return choice, depth
+    choice, _ = decide(image, plan)
+    return choice
 
 
 class TestBenchmarkWorkloadDecisions:
     """The repo benchmark's three workload shapes keep their backends:
-    ``compiled`` R=4 on paper-size Seismic, ``compiled`` R=2 on
-    paper-size UVKBE and ``vectorized`` on every 8x8 sweep program."""
+    ``compiled`` on paper-size Seismic and UVKBE, ``vectorized`` on every
+    8x8 sweep program."""
 
     @pytest.fixture(autouse=True)
     def _unforced(self, monkeypatch):
         monkeypatch.delenv(FORCE_ENV_VAR, raising=False)
-        monkeypatch.delenv(FUSION_ENV_VAR, raising=False)
 
     def test_seismic_paper_small(self):
         config = (seismic_benchmark, 100, 100, 450, 4, {})
-        assert _decision(config) == ("compiled", 4)
+        assert _decision(config) == "compiled"
 
     def test_uvkbe_paper_small(self):
         config = (uvkbe_benchmark, 100, 100, 600, 1, {})
-        assert _decision(config) == ("compiled", 2)
+        assert _decision(config) == "compiled"
 
     @pytest.mark.parametrize("target", ("wse2", "wse3"))
     @pytest.mark.parametrize("boundary", ("dirichlet", "periodic", "reflect"))
@@ -150,7 +148,7 @@ class TestBenchmarkWorkloadDecisions:
                 benchmark, 8, 8, 32, 2,
                 {"target": target, "boundary": boundary},
             )
-            assert _decision(config) == ("vectorized", 1), benchmark.name
+            assert _decision(config) == "vectorized", benchmark.name
 
 
 class TestCalibration:

@@ -6,7 +6,9 @@ accumulators and the receive slab alike — plus every statistic stays
 byte-identical to ``vectorized``.  Without a compiler, or when the build
 fails, the NumPy tier runs instead, still byte-identical, and the reason
 is recorded.  Libraries persist through the kernel store, so a second
-process loads the ``.so`` without invoking the compiler.
+process loads the ``.so`` without invoking the compiler.  A program whose
+receive callback writes its receive buffer gets no kernel at all: the
+backend interprets it and names the exchange.
 """
 
 import sys
@@ -27,6 +29,7 @@ from repro.transforms.pipeline import PipelineOptions, compile_stencil_program
 from repro.wse import native
 from repro.wse.codegen import (
     DUMP_ENV_VAR,
+    _KernelEmitter,
     get_kernel,
     kernel_cache_statistics,
     reset_kernel_cache,
@@ -40,9 +43,6 @@ BOUNDARIES = (
     BoundaryCondition.periodic(),
     BoundaryCondition.reflect(),
 )
-
-DEPTHS = (1, 2, 4)
-
 
 #: A handwritten program for the C emitter's edge paths: an overlapping
 #: destination (the hazard temporary), strided views, scalars computed at
@@ -144,6 +144,72 @@ layout {
 }
 """
 
+#: A program whose receive callback writes its receive buffer: staging
+#: each chunk straight into the slab would let chunk 0's callback change
+#: what chunk 1's callback sees on the Dirichlet border, so the kernel
+#: generator must refuse it and ``compiled`` must interpret instead.
+RECV_WRITER_PROGRAM = """\
+param z_dim : i16 = 8;
+
+const memcpy = @import_module("<memcpy/memcpy>");
+const comms = @import_module("stencil_comms.csl", .{ .pattern = 1, .chunkSize = 2, .boundary = "dirichlet", .boundaryValue = 0.5 });
+
+var a = @zeros([8]f32);
+var recv = @zeros([4]f32);
+var step : i32 = 0;
+
+fn f_main() void {
+  @activate(@get_local_task_id(8));
+  return;
+}
+
+task time_loop() void {
+  const running = step < 2;
+  if (running) {
+    body();
+  } else {
+    finish();
+  }
+  return;
+}
+
+comptime { @bind_local_task(@get_local_task_id(8), time_loop); }
+
+fn body() void {
+  const column = @get_dsd(mem1d_dsd, .{ .tensor_access = |i|{8} -> a[i] });
+  comms.communicate(&column, .{ .num_chunks = 2, .chunk_size = 2, .src_offset = 0, .src_len = 4, .pattern = 1, .recv_buffer = &recv, .directions = .{ .{ 1, 0 }, .{ 0, -1 } }, .recv = &recv_chunk, .done = &next_step });
+  return;
+}
+
+task recv_chunk(chunk_offset : i16) void {
+  const east = @get_dsd(mem1d_dsd, .{ .tensor_access = |i|{2} -> recv[i] });
+  const base = @get_dsd(mem1d_dsd, .{ .tensor_access = |i|{2} -> a[4 + i] });
+  const slot = @increment_dsd_offset(base, chunk_offset, f32);
+  @fmuls(east, east, 2.0);
+  @fadds(slot, slot, east);
+  return;
+}
+
+comptime { @bind_local_task(@get_local_task_id(9), recv_chunk); }
+
+task next_step() void {
+  const t = step + 1;
+  step = t;
+  @activate(@get_local_task_id(8));
+  return;
+}
+
+comptime { @bind_local_task(@get_local_task_id(10), next_step); }
+
+fn finish() void {
+  sys_mod.unblock_cmd_stream();
+  return;
+}
+
+comptime { @export_symbol(f_main, "f_main"); }
+comptime { @rpc(@get_data_task_id(memcpy.LAUNCH)); }
+"""
+
 needs_compiler = pytest.mark.skipif(
     native.find_compiler() is None, reason="no C compiler on PATH"
 )
@@ -208,32 +274,35 @@ def _assert_identical(got, want, label: str) -> None:
     assert statistics == expected_statistics, label
 
 
-@needs_compiler
-class TestNativeByteIdentity:
-    """Native == vectorized on every buffer and statistic: 7 benchmarks x
-    3 boundary modes x R in {1, 2, 4} x num_chunks in {1, 2}."""
+class TestByteIdentityMatrix:
+    """Compiled == vectorized on every buffer and statistic, on both kernel
+    tiers: 7 benchmarks x 3 boundary modes x num_chunks in {1, 2}."""
 
+    @pytest.mark.parametrize(
+        "tier", (pytest.param("native", marks=needs_compiler), "numpy")
+    )
     @pytest.mark.parametrize("chunks", (1, 2))
     @pytest.mark.parametrize("boundary", BOUNDARIES, ids=lambda b: b.spec)
     @pytest.mark.parametrize("name", [b.name for b in ALL_BENCHMARKS])
-    def test_matches_vectorized(self, name, boundary, chunks):
+    def test_matches_vectorized(self, monkeypatch, name, boundary, chunks, tier):
+        if tier == "numpy":
+            monkeypatch.setattr(native, "find_compiler", lambda: None)
         image = _image(name, boundary, chunks)
-        # Bind every depth first: their library builds overlap.
-        bound = [
-            _bind("compiled", image, rounds_per_block=depth)
-            for depth in DEPTHS
-        ]
+        # Bind first: the library builds while vectorized runs.
+        instance = _bind("compiled", image)
         want = _run("vectorized", image)
-        for depth, instance in zip(DEPTHS, bound):
-            got = _finish(instance)
-            label = f"{name}/{boundary.spec}/chunks={chunks}/R={depth}"
-            assert instance.block_fallback_reason is None, label
-            assert got[1].kernel_tier == "native", (
-                f"{label}: {got[1].native_fallback_reason}"
-            )
-            assert got[1].block_depth == (depth if depth > 1 else 0)
-            _assert_identical(got, want, label)
+        got = _finish(instance)
+        label = f"{name}/{boundary.spec}/chunks={chunks}/{tier}"
+        assert instance.fallback_reason is None, label
+        assert got[1].kernel_tier == tier, (
+            f"{label}: {got[1].native_fallback_reason}"
+        )
+        assert got[1].block_depth == got[1].rounds
+        _assert_identical(got, want, label)
 
+
+@needs_compiler
+class TestNativeByteIdentity:
     def test_hex_float_constants_match_numpy_rounding(self):
         """``1 + 2**-24`` rounds to 1.0 in float32 (ties to even) but to
         ``1 + 2**-23`` when printed as a decimal ``f`` literal: the C must
@@ -275,25 +344,21 @@ class TestNativeByteIdentity:
         image = parse_csl_sources(
             {"edge.csl": program, "edge_layout.csl": EDGE_LAYOUT}
         ).image()
-        bound = [
-            _bind("compiled", image, rounds_per_block=depth)
-            for depth in DEPTHS
-        ]
+        instance = _bind("compiled", image)
         want = _run("vectorized", image)
-        for depth, instance in zip(DEPTHS, bound):
-            got = _finish(instance)
-            assert got[1].kernel_tier == "native"
-            c_source = instance._compiled.c_source
-            for path in ("float tmp[", "k * 2]", "return 1;", "(float)s1"):
-                assert path in c_source, path
-            _assert_identical(got, want, f"edge/{boundary}/R={depth}")
+        got = _finish(instance)
+        assert got[1].kernel_tier == "native"
+        c_source = instance._compiled.c_source
+        for path in ("float tmp[", "k * 2]", "return 1;", "(float)s1"):
+            assert path in c_source, path
+        _assert_identical(got, want, f"edge/{boundary}")
 
 
 class TestFallback:
     def test_hidden_compiler_runs_the_numpy_tier(self, monkeypatch):
         monkeypatch.setattr(native, "find_compiler", lambda: None)
         image = _image("Seismic", BOUNDARIES[0], 2)
-        got = _run("compiled", image, rounds_per_block=4)
+        got = _run("compiled", image)
         assert got[1].kernel_tier == "numpy"
         assert got[1].native_fallback_reason == native.NO_COMPILER_REASON
         assert got[2].kernel_cache["tier"] == "numpy"
@@ -313,14 +378,47 @@ class TestFallback:
         fake.chmod(0o755)
         monkeypatch.setattr(native, "find_compiler", lambda: str(fake))
         image = _image("Jacobian", BOUNDARIES[1], 1)
-        got = _run("compiled", image, rounds_per_block=2)
+        got = _run("compiled", image)
         reason = got[1].native_fallback_reason
         assert got[1].kernel_tier == "numpy"
         assert "exit 3" in reason
         assert "synthetic failure" in reason
         assert got[2].kernel_cache["native_fallback_reason"] == reason
-        assert got[1].block_depth == 2
+        assert got[1].block_depth == got[1].rounds
         _assert_identical(got, _run("vectorized", image), "failed build")
+
+
+class TestUnsafeExchangeFallback:
+    @staticmethod
+    def _image():
+        return parse_csl_sources(
+            {"edge.csl": RECV_WRITER_PROGRAM, "edge_layout.csl": EDGE_LAYOUT}
+        ).image()
+
+    def test_compiled_interprets_and_names_the_exchange(self):
+        image = self._image()
+        got = _run("compiled", image)
+        reason = got[2].fallback_reason
+        assert reason is not None
+        assert "exchange 0" in reason
+        assert "'recv'" in reason and "'recv_chunk'" in reason
+        assert got[2].kernel_cache == {"served_from": "fallback", "reason": reason}
+        assert got[1].block_depth == 0
+        _assert_identical(got, _run("vectorized", image), "vectorized")
+        _assert_identical(got, _run("reference", image), "reference")
+
+    def test_direct_staging_would_diverge(self, monkeypatch):
+        """The refusal is load-bearing: forcing direct staging on the NumPy
+        tier changes the result."""
+        image = self._image()
+        want = _run("vectorized", image)
+        monkeypatch.setattr(native, "find_compiler", lambda: None)
+        monkeypatch.setattr(
+            _KernelEmitter, "_direct_staging_safe", lambda *_: True
+        )
+        forced = _run("compiled", image)
+        assert forced[2].fallback_reason is None
+        assert forced[0]["a"] != want[0]["a"]
 
 
 @needs_compiler
@@ -330,7 +428,7 @@ class TestLibraryCache:
     ):
         store = KernelSourceStore(tmp_path)
         image = _image("UVKBE", BOUNDARIES[2], 2)
-        first = _run("compiled", image, rounds_per_block=2, kernel_store=store)
+        first = _run("compiled", image, kernel_store=store)
         assert first[2].kernel_cache["library"] == "build"
         assert first[2].kernel_cache["build_s"] > 0
         assert store.libraries() == 1
@@ -342,9 +440,7 @@ class TestLibraryCache:
             raise AssertionError(f"compiler invoked: {command}")
 
         monkeypatch.setattr(native, "run_compiler", no_compiler)
-        second = _run(
-            "compiled", image, rounds_per_block=2, kernel_store=store
-        )
+        second = _run("compiled", image, kernel_store=store)
         provenance = second[2].kernel_cache
         assert provenance["served_from"] == "store"
         assert provenance["library"] == "store"
@@ -354,7 +450,7 @@ class TestLibraryCache:
         assert statistics.library_store_hits == 1
         _assert_identical(second, first, "store-served library")
 
-        third = _run("compiled", image, rounds_per_block=2, kernel_store=store)
+        third = _run("compiled", image, kernel_store=store)
         assert third[2].kernel_cache["library"] == "memory"
         assert kernel_cache_statistics().library_memory_hits == 1
 

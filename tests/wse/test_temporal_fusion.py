@@ -1,12 +1,14 @@
-"""Temporal fusion (multi-round superkernels), pinned end to end.
+"""Temporal fusion: one compiled kernel call runs the whole time loop.
 
-The contract: a temporal block depth R > 1 fuses R delivery rounds per
-``compiled`` kernel invocation while staying *byte-identical* to
-unblocked execution on every benchmark and boundary mode.  These tests pin
-the identity matrix, the fingerprint keying (R and only R perturbs the
-cache key), the dispatcher's delivery-round estimate and its choice of R.
+The contract: on every pipeline benchmark and boundary mode ``compiled``
+binds its generated kernel (no fallback), runs every delivery round in a
+single ``run_block`` call (``block_depth == rounds``), and stages each
+exchange straight into its receive buffer (the kernel allocates no staging
+slab).  These tests pin that shape, plus the dispatcher's delivery-round
+estimate.
 """
 
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -16,30 +18,17 @@ from repro.baselines.numpy_ref import allocate_fields, field_to_columns
 from repro.benchmarks import benchmark_by_name
 from repro.benchmarks.definitions import ALL_BENCHMARKS
 from repro.frontends.common import BoundaryCondition
+from repro.ir.exceptions import InterpretationError
 from repro.transforms.pipeline import PipelineOptions, compile_stencil_program
-from repro.wse.codegen import FUSION_ENV_VAR, get_kernel
-from repro.wse.executors.auto import (
-    FORCE_ENV_VAR,
-    NOMINAL_ROUNDS,
-    AutoExecutor,
-    choose_block_depth,
-    estimate_delivery_rounds,
-)
+from repro.wse.executors.auto import NOMINAL_ROUNDS, estimate_delivery_rounds
 from repro.wse.interpreter import ProgramImage
-from repro.wse.plan import ExecutionPlan
 from repro.wse.simulator import WseSimulator
-
-#: the byte-identity matrix: a distance-1 5-point kernel, the radius-4
-#: multi-distance Seismic kernel, and the multi-field coupled UVKBE system.
-MATRIX_BENCHMARKS = ("Jacobian", "Seismic", "UVKBE")
 
 BOUNDARIES = (
     BoundaryCondition.dirichlet(),
     BoundaryCondition.periodic(),
     BoundaryCondition.reflect(),
 )
-
-BLOCK_DEPTHS = (2, 4)
 
 TIME_STEPS = 5
 
@@ -57,8 +46,7 @@ def _compile(name, boundary=None, time_steps=TIME_STEPS):
 
 
 def _run(executor, program, program_module, seed=13):
-    """Load seeded fields, execute, and return (bytes-per-field, stats,
-    executor instance) — the instance exposes the blocking decision."""
+    """Load seeded fields, execute, and return (stats, executor instance)."""
     rng = np.random.default_rng(seed)
     fields = allocate_fields(
         program, lambda name, shape: rng.uniform(-1, 1, shape)
@@ -69,56 +57,45 @@ def _run(executor, program, program_module, seed=13):
             decl.name,
             field_to_columns(program, decl.name, fields[decl.name]),
         )
-    statistics = simulator.execute()
-    gathered = {
-        decl.name: simulator.read_field(decl.name).tobytes()
-        for decl in program.fields
-    }
-    return gathered, statistics, simulator.executor
+    return simulator.execute(), simulator.executor
 
 
-class TestBlockedByteIdentity:
-    """R ∈ {2, 4} byte-identical to R = 1 on compiled, per mode."""
+class TestOneKernelShape:
+    """Every pipeline benchmark x boundary mode runs as one kernel call."""
 
-    @pytest.mark.parametrize("name", MATRIX_BENCHMARKS)
     @pytest.mark.parametrize("boundary", BOUNDARIES, ids=lambda b: b.spec)
-    def test_blocked_matches_unblocked(self, monkeypatch, name, boundary):
+    @pytest.mark.parametrize(
+        "name", [benchmark.name for benchmark in ALL_BENCHMARKS]
+    )
+    def test_whole_loop_in_one_call(self, name, boundary):
         program, module = _compile(name, boundary)
-        monkeypatch.delenv(FUSION_ENV_VAR, raising=False)
-        base_fields, base_stats, _ = _run("compiled", program, module)
-        for depth in BLOCK_DEPTHS:
-            monkeypatch.setenv(FUSION_ENV_VAR, str(depth))
-            fields, stats, instance = _run("compiled", program, module)
-            assert instance.block_fallback_reason is None, (
-                f"compiled declined R={depth} on {name} under "
-                f"{boundary.spec}: {instance.block_fallback_reason}"
-            )
-            assert stats.block_depth == depth
-            for field_name, expected in base_fields.items():
-                assert fields[field_name] == expected, (
-                    f"field '{field_name}' differs between R=1 and "
-                    f"R={depth} on {name}/{boundary.spec}"
-                )
-            # Block depth is metadata (compare=False): the observable
-            # statistics must be equal.
-            assert stats == base_stats
+        stats, instance = _run("compiled", program, module)
+        label = f"{name}/{boundary.spec}"
+        assert instance.fallback_reason is None, (
+            f"{label}: {instance.fallback_reason}"
+        )
+        assert stats.rounds > 0, label
+        assert stats.block_depth == stats.rounds, label
+        # The only bind-time allocations are the fmacs scratch arrays.
+        allocated = re.findall(
+            r"^\s*(\w+) = np\.empty\(", instance._compiled.source, re.M
+        )
+        assert all(name.startswith("scr") for name in allocated), allocated
 
+    @pytest.mark.parametrize("executor", ("vectorized", "compiled"))
+    def test_round_budget_raises_like_the_interpreter(self, executor):
+        _, module = _compile("Jacobian")
+        simulator = WseSimulator(module, executor=executor)
+        simulator.launch()
+        with pytest.raises(InterpretationError, match="exceeded 2 rounds"):
+            simulator.run(max_rounds=2)
+        assert simulator.statistics.rounds == 2
 
-class TestFingerprintKeying:
-    """R folds into the kernel cache key — and only R perturbs it."""
-
-    def test_depth_perturbs_the_fingerprint(self):
+    def test_interpreting_backends_leave_block_depth_zero(self):
         program, module = _compile("Jacobian")
-        image = ProgramImage(module)
-        plan = ExecutionPlan.compile(image, 6, 6)
-        base = get_kernel(image, plan).fingerprint
-        assert get_kernel(image, plan, rounds=1).fingerprint == base
-        two = get_kernel(image, plan, rounds=2).fingerprint
-        four = get_kernel(image, plan, rounds=4).fingerprint
-        assert two != base
-        assert four != base
-        assert two != four
-        assert get_kernel(image, plan, rounds=2).fingerprint == two
+        stats, _ = _run("vectorized", program, module)
+        assert stats.rounds > 0
+        assert stats.block_depth == 0
 
 
 class TestDeliveryRoundEstimate:
@@ -130,7 +107,7 @@ class TestDeliveryRoundEstimate:
     def test_estimate_matches_executed_rounds(self, name):
         program, module = _compile(name, time_steps=3)
         image = ProgramImage(module)
-        _, stats, _ = _run("vectorized", program, module)
+        stats, _ = _run("vectorized", program, module)
         assert estimate_delivery_rounds(image) == stats.rounds
 
     def test_opaque_schedule_falls_back_to_nominal(self):
@@ -139,44 +116,3 @@ class TestDeliveryRoundEstimate:
             variables = {}
 
         assert estimate_delivery_rounds(_EmptyImage()) == NOMINAL_ROUNDS
-
-
-class TestBlockDepthChoice:
-    def test_compiled_takes_deepest_block_the_loop_fills(self):
-        assert choose_block_depth("compiled", rounds=12) == 4
-        assert choose_block_depth("compiled", rounds=3) == 2
-        assert choose_block_depth("compiled", rounds=1) == 1
-
-    def test_interpreting_backends_never_block(self):
-        assert choose_block_depth("reference", rounds=64) == 1
-        assert choose_block_depth("vectorized", rounds=64) == 1
-
-    def test_auto_prices_depth_from_the_image(self, monkeypatch):
-        monkeypatch.delenv(FUSION_ENV_VAR, raising=False)
-        monkeypatch.setenv(FORCE_ENV_VAR, "compiled")
-        program, module = _compile("Jacobian")
-        image = ProgramImage(module)
-        executor = AutoExecutor(image, 6, 6)
-        # time_steps=5 → 5 delivery rounds → the compiled delegate blocks
-        # at the deepest supported depth.
-        assert executor.block_depth == 4
-        assert executor._delegate._rounds_per_block == 4
-
-    def test_env_override_stays_authoritative(self, monkeypatch):
-        monkeypatch.setenv(FUSION_ENV_VAR, "2")
-        monkeypatch.setenv(FORCE_ENV_VAR, "compiled")
-        program, module = _compile("Jacobian")
-        image = ProgramImage(module)
-        executor = AutoExecutor(image, 6, 6)
-        assert executor.block_depth == 1
-        assert executor._delegate._rounds_per_block == 2
-
-    def test_compiled_stamps_block_depth(self, monkeypatch):
-        program, module = _compile("Jacobian")
-        monkeypatch.setenv(FUSION_ENV_VAR, "4")
-        _, stats, instance = _run("compiled", program, module)
-        assert instance.block_fallback_reason is None
-        assert stats.block_depth == 4
-        monkeypatch.delenv(FUSION_ENV_VAR)
-        _, stats, _ = _run("compiled", program, module)
-        assert stats.block_depth == 0
